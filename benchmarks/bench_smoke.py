@@ -33,11 +33,6 @@ from repro.collectives import BARRIER_ALGORITHMS, GATHER_ALGORITHMS  # noqa: E40
 from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS  # noqa: E402
 from repro.collectives.reduce import REDUCE_ALGORITHMS  # noqa: E402
 from repro.estimation.alphabeta import alphabeta_prefetch_jobs  # noqa: E402
-from repro.estimation.barrier_calibration import barrier_prefetch_jobs  # noqa: E402
-from repro.estimation.gather_calibration import gather_prefetch_jobs  # noqa: E402
-from repro.estimation.reduce_calibration import (  # noqa: E402
-    reduce_alphabeta_prefetch_jobs,
-)
 from repro.exec import execute_job  # noqa: E402
 from repro.sim.batch import BatchSimulator  # noqa: E402
 from repro.units import KiB, MiB  # noqa: E402
@@ -51,16 +46,19 @@ def smoke_grid(procs: int) -> list:
             MINICLUSTER, algorithm, procs=procs, sizes=sizes
         )
     for algorithm in REDUCE_ALGORITHMS:
-        jobs += reduce_alphabeta_prefetch_jobs(
-            MINICLUSTER, algorithm, procs=procs, sizes=sizes
+        jobs += alphabeta_prefetch_jobs(
+            MINICLUSTER, algorithm, operation="reduce", procs=procs,
+            sizes=sizes,
         )
     for algorithm in GATHER_ALGORITHMS:
-        jobs += gather_prefetch_jobs(
-            MINICLUSTER, algorithm, procs=procs, sizes=sizes
+        jobs += alphabeta_prefetch_jobs(
+            MINICLUSTER, algorithm, operation="gather", procs=procs,
+            sizes=sizes,
         )
     for algorithm in BARRIER_ALGORITHMS:
-        jobs += barrier_prefetch_jobs(
-            MINICLUSTER, algorithm, proc_counts=(4, procs)
+        jobs += alphabeta_prefetch_jobs(
+            MINICLUSTER, algorithm, operation="barrier",
+            proc_counts=(4, procs),
         )
     return jobs
 

@@ -32,7 +32,6 @@ from repro.models import (
     GammaFunction,
     HockneyParams,
 )
-from repro.estimation.reduce_calibration import calibrate_reduce
 from repro.mpiblib import CollectiveBenchmark
 from repro.selection import (
     DecisionTable,
@@ -67,7 +66,6 @@ __all__ = [
     "CollectiveBenchmark",
     "build_decision_table",
     "calibrate_platform",
-    "calibrate_reduce",
     "estimate_alpha_beta",
     "estimate_gamma",
     "estimate_hockney_p2p",

@@ -9,20 +9,26 @@ Two estimation procedures make up the paper's second contribution:
   parameters ``α, β`` from experiments that *contain the modelled
   algorithm* (broadcast under test + linear gather, timed on the root),
   solved by Huber regression over the canonical linear system of the
-  paper's Fig. 4 (§4.2).
+  paper's Fig. 4 (§4.2).  One estimator serves every collective; its
+  :data:`~repro.estimation.alphabeta.OPERATION_PROFILES` table says which
+  experiment contains each collective's algorithms.
 
 Supporting machinery: :mod:`repro.estimation.statistics` (confidence-
 interval driven adaptive repetition, following MPIBlib),
 :mod:`repro.estimation.regression` (OLS and Huber IRLS),
 :mod:`repro.estimation.p2p` (classical point-to-point estimation used by the
 traditional models and the ablation), and :mod:`repro.estimation.workflow`
-(one-call calibration of a platform).
+(one-call calibration of a platform, for any collective).
 """
 
-from repro.estimation.alphabeta import AlphaBeta, FitQuality, estimate_alpha_beta
-from repro.estimation.barrier_calibration import calibrate_barrier
+from repro.estimation.alphabeta import (
+    OPERATION_PROFILES,
+    AlphaBeta,
+    FitQuality,
+    OperationProfile,
+    estimate_alpha_beta,
+)
 from repro.estimation.gamma import estimate_gamma
-from repro.estimation.gather_calibration import calibrate_gather
 from repro.estimation.p2p import estimate_hockney_p2p
 from repro.estimation.regression import huber_fit, mad_screen, ols_fit
 from repro.estimation.registry import (
@@ -34,7 +40,6 @@ from repro.estimation.registry import (
     unregister_pipeline,
 )
 from repro.estimation.statistics import SampleStats, adaptive_measure
-from repro.estimation.reduce_calibration import calibrate_reduce
 from repro.estimation.workflow import (
     PlatformModel,
     QualityThresholds,
@@ -42,18 +47,17 @@ from repro.estimation.workflow import (
 )
 
 __all__ = [
+    "OPERATION_PROFILES",
     "AlphaBeta",
     "CalibrationOutcome",
     "CalibrationPipeline",
     "FitQuality",
+    "OperationProfile",
     "PlatformModel",
     "QualityThresholds",
     "SampleStats",
     "adaptive_measure",
-    "calibrate_barrier",
-    "calibrate_gather",
     "calibrate_platform",
-    "calibrate_reduce",
     "estimate_alpha_beta",
     "estimate_gamma",
     "estimate_hockney_p2p",

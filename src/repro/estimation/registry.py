@@ -15,12 +15,14 @@ A pipeline declares which calibration keyword arguments it *accepts*
 build, silently dropped).  Anything outside both sets is an error — a
 misspelled or genuinely unsupported kwarg must never be discarded.
 
-Built-in pipelines: ``bcast`` (:func:`calibrate_platform`), ``reduce``
-(:func:`calibrate_reduce`), ``gather`` (:func:`calibrate_gather`),
-``barrier`` (:func:`calibrate_barrier_with_quality`), and the four
-whole-suite collectives — ``allreduce``, ``allgather``, ``alltoall`` and
-``scatter`` — sharing one direct-calibration body
-(:func:`calibrate_collective`).  All of them route
+Built-in pipelines: one per row of
+:data:`~repro.estimation.alphabeta.OPERATION_PROFILES` — ``bcast``,
+``reduce``, ``gather``, ``barrier``, ``allreduce``, ``allgather``,
+``alltoall`` and ``scatter`` — all running the one calibration entry point
+(:func:`~repro.estimation.workflow.calibrate_platform`).  Their
+``accepts`` sets are derived from the profile; each tolerates the knobs
+a combined build forwards to every pipeline that it does not accept.
+All of them route
 every simulation through the :class:`~repro.exec.runner.ParallelRunner`
 handed to :meth:`CalibrationPipeline.calibrate`, prefetching their whole
 experiment schedule up front — so builds parallelise and a warm
@@ -30,11 +32,16 @@ persistent cache replays with zero simulations, for every collective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.clusters.spec import ClusterSpec
 from repro.errors import ArtifactError, EstimationError
-from repro.estimation.alphabeta import FitQuality
+from repro.estimation.alphabeta import (
+    OPERATION_PROFILES,
+    FitQuality,
+    OperationProfile,
+)
 from repro.estimation.workflow import (
     DEFAULT_QUALITY,
     PlatformModel,
@@ -210,166 +217,73 @@ def run_pipeline(
 
 # -- built-in pipelines ------------------------------------------------------
 
-
-def _quality_of(estimates: dict) -> dict[str, FitQuality]:
-    return {
-        name: estimate.quality
-        for name, estimate in estimates.items()
-        if estimate.quality is not None
+#: Knobs every built-in calibration accepts.
+_COMMON_KWARGS = frozenset(
+    {"algorithms", "precision", "max_reps", "seed", "retry_budget"}
+)
+#: Knobs of the canonical fit over a message-size sweep.
+_SIZE_SWEEP_KWARGS = frozenset({"sizes", "regressor", "screen_mad"})
+#: The paper's ablation studies, all on the broadcast.
+_BCAST_ABLATION_KWARGS = frozenset(
+    {"model_family", "estimation", "gamma_method", "gather_bytes", "strict"}
+)
+#: Knobs a combined multi-collective build forwards to every pipeline: a
+#: pipeline tolerates each one it does not accept.
+_SHARED_KWARGS = frozenset(
+    {
+        "procs", "sizes", "segment_size", "gamma_max_procs", "screen_mad",
+        "regressor", "model_params",
     }
+)
 
 
-def _calibrate_bcast(
-    spec: ClusterSpec, *, runner: ParallelRunner | None = None, **kwargs
+def _accepted_kwargs(profile: OperationProfile) -> frozenset[str]:
+    """The calibration kwargs ``profile``'s pipeline forwards."""
+    accepts = set(_COMMON_KWARGS)
+    if profile.size_independent:
+        accepts.add("proc_counts")
+    else:
+        accepts |= {"procs"} | _SIZE_SWEEP_KWARGS
+    if profile.segmented:
+        accepts.add("segment_size")
+    if profile.measures_gamma:
+        accepts.add("gamma_max_procs")
+    if profile.extra_params:
+        accepts.add("model_params")
+    if profile.operation == "bcast":
+        accepts |= _BCAST_ABLATION_KWARGS
+    return frozenset(accepts)
+
+
+def _calibrate_profile(
+    spec: ClusterSpec,
+    *,
+    operation: str,
+    runner: ParallelRunner | None = None,
+    **kwargs,
 ) -> CalibrationOutcome:
-    result = calibrate_platform(spec, runner=runner, **kwargs)
+    result = calibrate_platform(
+        spec, operation=operation, runner=runner, **kwargs
+    )
     return CalibrationOutcome(
-        platform=result.platform, quality=_quality_of(result.alpha_beta)
+        platform=result.platform,
+        quality={
+            name: estimate.quality
+            for name, estimate in result.alpha_beta.items()
+            if estimate.quality is not None
+        },
     )
 
 
-def _calibrate_reduce(
-    spec: ClusterSpec, *, runner: ParallelRunner | None = None, **kwargs
-) -> CalibrationOutcome:
-    from repro.estimation.reduce_calibration import calibrate_reduce
-
-    platform, estimates = calibrate_reduce(spec, runner=runner, **kwargs)
-    return CalibrationOutcome(
-        platform=platform, quality=_quality_of(estimates)
-    )
-
-
-def _calibrate_gather(
-    spec: ClusterSpec, *, runner: ParallelRunner | None = None, **kwargs
-) -> CalibrationOutcome:
-    from repro.estimation.gather_calibration import calibrate_gather
-
-    platform, estimates = calibrate_gather(spec, runner=runner, **kwargs)
-    return CalibrationOutcome(
-        platform=platform, quality=_quality_of(estimates)
-    )
-
-
-def _make_collective_calibrator(operation: str):
-    """A registry ``fn`` bound to one whole-suite collective."""
-
-    def _calibrate(
-        spec: ClusterSpec, *, runner: ParallelRunner | None = None, **kwargs
-    ) -> CalibrationOutcome:
-        from repro.estimation.collective_calibration import (
-            calibrate_collective,
-        )
-
-        platform, estimates = calibrate_collective(
-            spec, operation, runner=runner, **kwargs
-        )
-        return CalibrationOutcome(
-            platform=platform, quality=_quality_of(estimates)
-        )
-
-    return _calibrate
-
-
-def _calibrate_barrier(
-    spec: ClusterSpec, *, runner: ParallelRunner | None = None, **kwargs
-) -> CalibrationOutcome:
-    from repro.estimation.barrier_calibration import (
-        calibrate_barrier_with_quality,
-    )
-
-    platform, quality = calibrate_barrier_with_quality(
-        spec, runner=runner, **kwargs
-    )
-    return CalibrationOutcome(platform=platform, quality=quality)
-
-
-register_pipeline(
-    CalibrationPipeline(
-        operation="bcast",
-        fn=_calibrate_bcast,
-        accepts=frozenset(
-            {
-                "procs", "algorithms", "model_family", "estimation",
-                "gamma_method", "segment_size", "sizes", "gather_bytes",
-                "gamma_max_procs", "regressor", "precision", "max_reps",
-                "seed", "screen_mad", "retry_budget", "strict",
-                "model_params",
-            }
-        ),
-    )
-)
-
-register_pipeline(
-    CalibrationPipeline(
-        operation="reduce",
-        fn=_calibrate_reduce,
-        accepts=frozenset(
-            {
-                "procs", "algorithms", "sizes", "segment_size",
-                "gamma_max_procs", "regressor", "precision", "max_reps",
-                "seed", "screen_mad", "retry_budget", "model_params",
-            }
-        ),
-    )
-)
-
-register_pipeline(
-    CalibrationPipeline(
-        operation="gather",
-        fn=_calibrate_gather,
-        accepts=frozenset(
-            {
-                "procs", "algorithms", "sizes", "regressor", "precision",
-                "max_reps", "seed", "screen_mad", "retry_budget",
-            }
-        ),
-        # γ, segmentation and fabric model constants only parameterise
-        # sibling pipelines: gather models use the ideal platform function
-        # and are unsegmented, with no topology-aware variant yet.
-        tolerates=frozenset({"gamma_max_procs", "segment_size", "model_params"}),
-    )
-)
-
-register_pipeline(
-    CalibrationPipeline(
-        operation="barrier",
-        fn=_calibrate_barrier,
-        accepts=frozenset(
-            {
-                "proc_counts", "algorithms", "precision", "max_reps",
-                "seed", "retry_budget",
-            }
-        ),
-        # The barrier sweep varies P, not m: size/segment/γ knobs and the
-        # canonical-point screen concern the data-moving siblings only.
-        tolerates=frozenset(
-            {
-                "procs", "sizes", "segment_size", "gamma_max_procs",
-                "screen_mad", "regressor", "model_params",
-            }
-        ),
-        size_independent=True,
-    )
-)
-
-for _operation in ("allreduce", "allgather", "alltoall", "scatter"):
+for _profile in OPERATION_PROFILES.values():
+    _accepts = _accepted_kwargs(_profile)
     register_pipeline(
         CalibrationPipeline(
-            operation=_operation,
-            fn=_make_collective_calibrator(_operation),
-            accepts=frozenset(
-                {
-                    "procs", "algorithms", "sizes", "regressor", "precision",
-                    "max_reps", "seed", "screen_mad", "retry_budget",
-                }
-            ),
-            # γ, segmentation and fabric model constants only parameterise
-            # sibling pipelines: these families use the ideal platform
-            # function and are unsegmented, with no topology-aware variant
-            # yet (same rationale as the gather pipeline).
-            tolerates=frozenset(
-                {"gamma_max_procs", "segment_size", "model_params"}
-            ),
+            operation=_profile.operation,
+            fn=partial(_calibrate_profile, operation=_profile.operation),
+            accepts=_accepts,
+            tolerates=_SHARED_KWARGS - _accepts,
+            size_independent=_profile.size_independent,
         )
     )
-del _operation
+del _profile, _accepts

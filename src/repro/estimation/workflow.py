@@ -6,6 +6,11 @@
 2. for each broadcast algorithm, estimate α and β from broadcast+gather
    experiments solved by Huber regression (§4.2).
 
+The same function calibrates every other collective: its
+:class:`~repro.estimation.alphabeta.OperationProfile` says which
+experiment contains the algorithm, what the sweep varies and whether γ is
+measured.
+
 The result, a :class:`PlatformModel`, is everything the runtime selector
 needs: it predicts any algorithm's time for any ``(P, m)`` in microseconds
 of arithmetic, and serialises to/from JSON so a calibration can be done
@@ -31,10 +36,12 @@ from repro.errors import EstimationError
 from repro.estimation.alphabeta import (
     DEFAULT_GATHER_BYTES,
     DEFAULT_SIZES,
+    OPERATION_PROFILES,
     AlphaBeta,
-    FitQuality,
     alphabeta_prefetch_jobs,
     estimate_alpha_beta,
+    get_profile,
+    sweep_points,
 )
 from repro.estimation.gamma import (
     DEFAULT_MAX_PROCS,
@@ -50,41 +57,27 @@ from repro.estimation.p2p import (
 )
 from repro.exec.runner import ParallelRunner, default_runner
 from repro.models.base import BcastModel
-from repro.models.derived import DERIVED_BCAST_MODELS
 from repro.models.gamma import GammaFunction
 from repro.models.hockney import HockneyParams
-from repro.models.allgather_models import DERIVED_ALLGATHER_MODELS
-from repro.models.allreduce_models import DERIVED_ALLREDUCE_MODELS
-from repro.models.alltoall_models import DERIVED_ALLTOALL_MODELS
-from repro.models.barrier_models import DERIVED_BARRIER_MODELS
-from repro.models.gather_models import DERIVED_GATHER_MODELS
-from repro.models.reduce_models import DERIVED_REDUCE_MODELS
-from repro.models.scatter_models import DERIVED_SCATTER_MODELS
 from repro.models.traditional import TRADITIONAL_BCAST_MODELS
 
+#: Model families by name: each profile's derived family, plus the
+#: traditional broadcast models of the model-family ablation.
 MODEL_FAMILIES = {
-    "derived": DERIVED_BCAST_MODELS,
     "traditional": TRADITIONAL_BCAST_MODELS,
-    "reduce_derived": DERIVED_REDUCE_MODELS,
-    "gather_derived": DERIVED_GATHER_MODELS,
-    "barrier_derived": DERIVED_BARRIER_MODELS,
-    "allreduce_derived": DERIVED_ALLREDUCE_MODELS,
-    "allgather_derived": DERIVED_ALLGATHER_MODELS,
-    "alltoall_derived": DERIVED_ALLTOALL_MODELS,
-    "scatter_derived": DERIVED_SCATTER_MODELS,
+    **{
+        profile.model_family: profile.models
+        for profile in OPERATION_PROFILES.values()
+    },
 }
 
 #: Which collective operation each model family describes.
 FAMILY_OPERATION = {
-    "derived": "bcast",
     "traditional": "bcast",
-    "reduce_derived": "reduce",
-    "gather_derived": "gather",
-    "barrier_derived": "barrier",
-    "allreduce_derived": "allreduce",
-    "allgather_derived": "allgather",
-    "alltoall_derived": "alltoall",
-    "scatter_derived": "scatter",
+    **{
+        profile.model_family: profile.operation
+        for profile in OPERATION_PROFILES.values()
+    },
 }
 
 ESTIMATION_METHODS = ("collective", "p2p")
@@ -257,7 +250,8 @@ class CalibrationResult:
     """A :class:`PlatformModel` plus the raw estimates behind it."""
 
     platform: PlatformModel
-    gamma_estimate: GammaEstimate
+    #: None for operations whose models use the ideal platform function.
+    gamma_estimate: GammaEstimate | None
     alpha_beta: dict[str, AlphaBeta]
     p2p_estimate: P2pEstimate | None
 
@@ -287,9 +281,11 @@ class CalibrationResult:
 def calibrate_platform(
     spec: ClusterSpec,
     *,
+    operation: str = "bcast",
     procs: int | None = None,
+    proc_counts: Sequence[int] | None = None,
     algorithms: Sequence[str] | None = None,
-    model_family: str = "derived",
+    model_family: str | None = None,
     estimation: str = "collective",
     gamma_method: str = "direct",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -308,16 +304,22 @@ def calibrate_platform(
 ) -> CalibrationResult:
     """Run the paper's full calibration procedure on ``spec``.
 
-    With the defaults this is exactly §4: γ from collective experiments,
-    then per-algorithm α/β from broadcast+gather experiments fitted by
-    Huber regression.  ``estimation="p2p"`` replaces step 2 with one
-    ping-pong fit shared by all algorithms (the ablation baseline).
+    With the defaults this is exactly §4 for the broadcast: γ from
+    collective experiments, then per-algorithm α/β from broadcast+gather
+    experiments fitted by Huber regression.  ``operation`` names another
+    collective of :data:`~repro.estimation.alphabeta.OPERATION_PROFILES`,
+    whose profile decides the experiment, the sweep, whether γ is measured
+    (otherwise the ideal platform function is used) and the default
+    ``algorithms`` and ``model_family``.  ``estimation="p2p"`` replaces the
+    per-algorithm fits with one ping-pong fit shared by all algorithms
+    (the ablation baseline).
 
-    All simulations route through ``runner`` (default: the process-wide
-    runner).  The *entire* experiment schedule — γ plus every algorithm's
-    sweep — is prefetched as one batch up front, so with a parallel runner
-    the whole calibration's simulations run concurrently and the serial
-    estimation stages replay from the memo.
+    Inputs are validated before any simulation.  All simulations route
+    through ``runner`` (default: the process-wide runner).  The *entire*
+    experiment schedule — γ plus every algorithm's sweep — is prefetched as
+    one batch up front, so with a parallel runner the whole calibration's
+    simulations run concurrently and the serial estimation stages replay
+    from the memo.
 
     Robustness knobs (all default off; the vanilla calibration is
     bit-identical to earlier releases): ``screen_mad`` / ``retry_budget``
@@ -325,66 +327,80 @@ def calibrate_platform(
     thresholds makes the calibration *fail* (:class:`EstimationError`)
     instead of silently returning fits that miss them.
     """
+    profile = get_profile(operation)
     if estimation not in ESTIMATION_METHODS:
         raise EstimationError(
             f"unknown estimation method {estimation!r}; use {ESTIMATION_METHODS}"
         )
+    model_family = model_family or profile.model_family
     family = MODEL_FAMILIES[model_family]  # validates the family name
     if algorithms is None:
-        # Default to the paper's six broadcast algorithms; extension models
-        # (e.g. scatter_allgather) are opt-in via an explicit list.
-        from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
-
         algorithms = sorted(
-            name for name in family if name in PAPER_BCAST_ALGORITHMS
+            name for name in family if name in profile.default_algorithms
         )
+    unknown = sorted(set(algorithms) - set(family))
+    if unknown:
+        raise EstimationError(
+            f"no {model_family} model for {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(family))}"
+        )
+    sweep = dict(procs=procs, sizes=sizes, proc_counts=proc_counts)
+    sweep_points(spec, profile, **sweep)  # validates before any simulation
 
     with obs.span(
         "calibrate.platform",
+        operation=operation,
         cluster=spec.name,
         estimation=estimation,
         model_family=model_family,
         algorithms=",".join(algorithms),
     ):
         runner = runner if runner is not None else default_runner()
-        batch = gamma_prefetch_jobs(
-            spec,
-            segment_size=segment_size,
-            max_procs=gamma_max_procs,
-            method=gamma_method,
-            seed=seed,
-        )
+        batch = []
+        if profile.measures_gamma:
+            batch += gamma_prefetch_jobs(
+                spec,
+                segment_size=segment_size,
+                max_procs=gamma_max_procs,
+                method=gamma_method,
+                seed=seed,
+            )
         if estimation == "p2p":
             batch += p2p_prefetch_jobs(spec, sizes=sizes, seed=seed)
         else:
-            ab_procs = procs if procs is not None else max(2, spec.max_procs // 2)
             for index, name in enumerate(algorithms):
                 batch += alphabeta_prefetch_jobs(
                     spec,
                     name,
-                    procs=ab_procs,
-                    sizes=sizes,
+                    operation=operation,
                     segment_size=segment_size,
                     gather_bytes=gather_bytes,
-                    seed=seed + 2_000_017 * (index + 1),
+                    seed=seed + profile.seed_multiplier * (index + 1),
+                    **sweep,
                 )
         with obs.span(
-            "calibrate.prefetch", jobs=len(batch), batched=runner.batch
+            "calibrate.prefetch",
+            operation=operation,
+            jobs=len(batch),
+            batched=runner.batch,
         ):
             runner.prefetch(batch)
 
-        gamma_estimate = estimate_gamma(
-            spec,
-            segment_size=segment_size,
-            max_procs=gamma_max_procs,
-            method=gamma_method,
-            precision=precision,
-            max_reps=max_reps,
-            seed=seed,
-            runner=runner,
-            prefetch=False,
-        )
-        gamma = gamma_estimate.function()
+        gamma_estimate: GammaEstimate | None = None
+        gamma = GammaFunction.ideal()
+        if profile.measures_gamma:
+            gamma_estimate = estimate_gamma(
+                spec,
+                segment_size=segment_size,
+                max_procs=gamma_max_procs,
+                method=gamma_method,
+                precision=precision,
+                max_reps=max_reps,
+                seed=seed,
+                runner=runner,
+                prefetch=False,
+            )
+            gamma = gamma_estimate.function()
 
         alpha_beta: dict[str, AlphaBeta] = {}
         parameters: dict[str, HockneyParams] = {}
@@ -408,29 +424,33 @@ def calibrate_platform(
                 estimate = estimate_alpha_beta(
                     spec,
                     model,
-                    procs=procs,
-                    sizes=sizes,
+                    operation=operation,
                     segment_size=segment_size,
                     gather_bytes=gather_bytes,
                     regressor=regressor,
                     precision=precision,
                     max_reps=max_reps,
-                    seed=seed + 2_000_017 * (index + 1),
+                    seed=seed + profile.seed_multiplier * (index + 1),
                     runner=runner,
                     prefetch=False,
                     screen_mad=screen_mad,
                     retry_budget=retry_budget,
+                    **sweep,
                 )
                 alpha_beta[name] = estimate
                 parameters[name] = estimate.params
 
         platform = PlatformModel(
             cluster=spec.name,
-            segment_size=segment_size,
+            # Only what the family can use is stored: unsegmented and
+            # parameter-free platforms serialise without either.
+            segment_size=segment_size if profile.segmented else 0,
             gamma=gamma,
             parameters=parameters,
             model_family=model_family,
-            model_params=dict(model_params or {}),
+            model_params=(
+                dict(model_params or {}) if profile.extra_params else {}
+            ),
         )
         result = CalibrationResult(
             platform=platform,

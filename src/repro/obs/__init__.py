@@ -11,9 +11,11 @@ span name                   emitted by
                             the parent ``exec.run`` span instead)
 ``exec.execute``            the simulate step (inline/pool/fallback)
 ``calibrate.platform``      :func:`repro.estimation.workflow.calibrate_platform`
+                            (``operation`` set, as on the next two)
 ``calibrate.prefetch``      the up-front parallel simulation batch
 ``estimate.gamma``          :func:`repro.estimation.gamma.estimate_gamma`
 ``estimate.alphabeta``      :func:`repro.estimation.alphabeta.estimate_alpha_beta`
+                            (one per calibrated algorithm)
 ``artifact.build``          :func:`repro.service.artifact.build_artifact`
 ``artifact.calibrate``      per-operation calibration phase
 ``artifact.tables``         per-operation decision-table build

@@ -12,11 +12,9 @@ and selection that always avoids the catastrophic algorithm.
 import pytest
 
 from repro.clusters import MINICLUSTER
-from repro.estimation.barrier_calibration import (
-    calibrate_barrier,
-    estimate_barrier_alpha,
-    time_barrier,
-)
+from repro.estimation.alphabeta import estimate_alpha_beta
+from repro.estimation.workflow import calibrate_platform
+from repro.measure import time_barrier
 from repro.models.barrier_models import DERIVED_BARRIER_MODELS
 from repro.models.gamma import GammaFunction
 from repro.selection.model_based import ModelBasedSelector
@@ -59,7 +57,9 @@ class TestBarrierModels:
 class TestBarrierCalibration:
     @pytest.fixture(scope="class")
     def platform(self):
-        return calibrate_barrier(MINICLUSTER, max_reps=3)
+        return calibrate_platform(
+            MINICLUSTER, operation="barrier", max_reps=3
+        ).platform
 
     def test_all_algorithms_calibrated(self, platform):
         assert set(platform.algorithms) == set(DERIVED_BARRIER_MODELS)
@@ -74,10 +74,11 @@ class TestBarrierCalibration:
     def test_single_algorithm_fit_tracks_measurement(self):
         """With matching structure (log-round algorithms), the α fit
         predicts unseen sizes well."""
-        params, _stats = estimate_barrier_alpha(
-            MINICLUSTER, "bruck", proc_counts=(4, 8), max_reps=3
-        )
         model = DERIVED_BARRIER_MODELS["bruck"](GAMMA)
+        params = estimate_alpha_beta(
+            MINICLUSTER, model, operation="barrier", proc_counts=(4, 8),
+            max_reps=3,
+        ).params
         predicted = model.coefficients(16).c_alpha * params.alpha
         measured = time_barrier(MINICLUSTER, "bruck", 16)
         assert predicted == pytest.approx(measured, rel=0.35)
@@ -105,6 +106,10 @@ class TestBarrierCalibration:
         from repro.errors import EstimationError
 
         with pytest.raises(EstimationError):
-            estimate_barrier_alpha(
-                MINICLUSTER, "bruck", proc_counts=(1,), max_reps=3
+            estimate_alpha_beta(
+                MINICLUSTER,
+                DERIVED_BARRIER_MODELS["bruck"](GAMMA),
+                operation="barrier",
+                proc_counts=(1,),
+                max_reps=3,
             )

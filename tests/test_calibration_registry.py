@@ -99,7 +99,7 @@ class TestKwargContract:
 
     def test_gamma_max_procs_accepted_by_reduce(self):
         # Regression: the reduce pipeline used to silently ignore
-        # gamma_max_procs; it must now forward it to calibrate_reduce.
+        # gamma_max_procs; it must now forward it to the calibration.
         assert "gamma_max_procs" in get_pipeline("reduce").accepts
 
     def test_duplicate_registration_refused_unless_replaced(self):

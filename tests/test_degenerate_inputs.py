@@ -8,6 +8,10 @@ The same query must get the same answer whether it goes through the
 cell, flagged via ``DecisionTable.lookup``) and queries far above it
 (genuine floor lookups).  A divergence between layers here would mean a
 deployed decision function disagrees with the service that packaged it.
+
+Degenerate *calibration* inputs (an unknown algorithm, a communicator
+size outside the cluster, too few sweep points) must fail typed before
+a single simulation runs, for every collective's pipeline.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.clusters import MINICLUSTER
+from repro.errors import ArtifactError
+from repro.estimation.registry import run_pipeline
+from repro.exec.runner import ParallelRunner
 from repro.selection.codegen import compile_python, generate_c
 from repro.service import (
     ArtifactRegistry,
@@ -298,3 +305,48 @@ class TestWholeSuiteZeroBytes:
             for row in table.choices
             for choice in row
         )
+
+
+# -- degenerate calibration inputs fail typed, before any simulation -------
+
+ALL_PIPELINES = (
+    "bcast", "reduce", "gather", "barrier",
+    "allreduce", "allgather", "alltoall", "scatter",
+)
+
+#: case -> (kwargs of a size sweep, kwargs of the barrier's P sweep,
+#: expected message).  MINICLUSTER hosts 2..16 processes.
+DEGENERATE_CALIBRATIONS = {
+    "unknown_algorithm": (
+        {"algorithms": ["no_such_algorithm"]},
+        {"algorithms": ["no_such_algorithm"]},
+        "no_such_algorithm; known: ",
+    ),
+    "procs_below_range": (
+        {"procs": 1}, {"proc_counts": (1,)}, "procs=1 outside 2..16",
+    ),
+    "procs_above_range": (
+        {"procs": 17}, {"proc_counts": (4, 17)}, "procs=17 outside 2..16",
+    ),
+    "too_few_points": (
+        {"sizes": (64 * KiB,)}, {"proc_counts": ()}, "need at least",
+    ),
+}
+
+
+class TestDegenerateCalibration:
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_CALIBRATIONS))
+    @pytest.mark.parametrize("operation", ALL_PIPELINES)
+    def test_refused_before_any_simulation(self, operation, case):
+        sweep_kwargs, barrier_kwargs, message = DEGENERATE_CALIBRATIONS[case]
+        kwargs = barrier_kwargs if operation == "barrier" else sweep_kwargs
+        runner = ParallelRunner(jobs=1)
+        try:
+            with pytest.raises(ArtifactError, match=message):
+                run_pipeline(
+                    MINICLUSTER, operation, runner=runner, max_reps=3,
+                    **kwargs,
+                )
+            assert runner.stats.simulations == 0
+        finally:
+            runner.close()

@@ -287,3 +287,30 @@ class TestWiring:
             if s.name == "estimate.alphabeta"
         ]
         assert alphabeta[0].attributes["algorithm"] == "binomial"
+
+    def test_every_operation_tags_its_calibration_spans(self, global_tracing):
+        # Per-collective attribution of calibration time reads these three
+        # span names, grouped by their ``operation`` attribute.
+        operations = (
+            "bcast", "reduce", "gather", "barrier",
+            "allreduce", "allgather", "alltoall", "scatter",
+        )
+        runner = ParallelRunner(jobs=1)
+        build_artifact(
+            MINICLUSTER,
+            collectives=operations,
+            proc_points=(4, 8),
+            size_points=(8 * KiB, 64 * KiB),
+            procs=4,
+            sizes=(8 * KiB, 32 * KiB, 128 * KiB),
+            gamma_max_procs=3,
+            max_reps=3,
+            runner=runner,
+        )
+        runner.close()
+        spans = global_tracing.finished()
+        for name in ("calibrate.platform", "calibrate.prefetch",
+                     "estimate.alphabeta"):
+            tagged = [s.attributes.get("operation") for s in spans
+                      if s.name == name]
+            assert set(tagged) == set(operations), name

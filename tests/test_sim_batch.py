@@ -3,8 +3,7 @@
 The load-bearing properties:
 
 * the columnar fast path is **bit-for-bit identical** to the event-loop
-  engine over the full calibration grid of every collective — broadcast,
-  reduce, gather and barrier pipelines alike;
+  engine over the full calibration grid of every collective's pipeline;
 * ineligible cells (noise, fault plans, unsupported algorithms) fall back
   to :func:`repro.exec.execute_job` cleanly, still returning identical
   results;
@@ -17,13 +16,10 @@ from __future__ import annotations
 import pytest
 
 from repro.clusters import GRISOU, MINICLUSTER
-from repro.collectives import BARRIER_ALGORITHMS, GATHER_ALGORITHMS
-from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
-from repro.collectives.reduce import REDUCE_ALGORITHMS
-from repro.estimation.alphabeta import alphabeta_prefetch_jobs
-from repro.estimation.barrier_calibration import barrier_prefetch_jobs
-from repro.estimation.gather_calibration import gather_prefetch_jobs
-from repro.estimation.reduce_calibration import reduce_alphabeta_prefetch_jobs
+from repro.estimation.alphabeta import (
+    OPERATION_PROFILES,
+    alphabeta_prefetch_jobs,
+)
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
 from repro.faults.plan import FaultPlan, StragglerFault
 from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
@@ -36,23 +32,20 @@ SIZES = (1 * KiB, 64 * KiB, 1 * MiB)
 GRISOU_QUIET = GRISOU.with_noise(0.0)
 
 
+#: Job kinds of the broadcast and reduce calibration experiments.
+DOMINANT_KINDS = ("bcast_then_gather", "reduce_then_scatter")
+
+
 def calibration_grid(spec, procs):
-    """Every job the four calibration pipelines would prefetch."""
+    """Every job the calibration pipelines would prefetch, for every
+    modelled algorithm of every collective."""
     jobs: list[SimJob] = []
-    for algorithm in PAPER_BCAST_ALGORITHMS:
-        jobs += alphabeta_prefetch_jobs(
-            spec, algorithm, procs=procs, sizes=SIZES
-        )
-    for algorithm in REDUCE_ALGORITHMS:
-        jobs += reduce_alphabeta_prefetch_jobs(
-            spec, algorithm, procs=procs, sizes=SIZES
-        )
-    for algorithm in GATHER_ALGORITHMS:
-        jobs += gather_prefetch_jobs(spec, algorithm, procs=procs, sizes=SIZES)
-    for algorithm in BARRIER_ALGORITHMS:
-        jobs += barrier_prefetch_jobs(
-            spec, algorithm, proc_counts=(4, procs)
-        )
+    for profile in OPERATION_PROFILES.values():
+        for algorithm in profile.models:
+            jobs += alphabeta_prefetch_jobs(
+                spec, algorithm, operation=profile.operation,
+                procs=procs, sizes=SIZES, proc_counts=(4, procs),
+            )
     return jobs
 
 
@@ -68,11 +61,13 @@ class TestColumnarParity:
         got = sim.run(jobs)
         want = [execute_job(job) for job in jobs]
         assert got == want  # bit-for-bit, not approx
+        assert sim.stats.cells == len(jobs)
         # The dominant broadcast/reduce grids must actually take the
         # columnar path — a silent wholesale fallback would pass parity
         # while destroying the speedup.
+        sim = BatchSimulator()
+        sim.run([job for job in jobs if job.kind in DOMINANT_KINDS])
         assert sim.stats.columnar > sim.stats.event_loop
-        assert sim.stats.cells == len(jobs)
 
     def test_bcast_root_and_policy_variants(self):
         jobs = [
