@@ -9,8 +9,11 @@ the batched engine ships under:
   event-loop results, cell for cell;
 * **speed**: the batched pass takes at most 0.9x the event-loop wall
   time (in practice it is far below that: seed-dedupe alone halves the
-  noise-free work, and the columnar kernels skip the event loop
-  entirely for the dominant grids).
+  noise-free work, and the replay executor runs every noise-free cell
+  without the event loop's futures and callbacks).
+
+It also fails when no cell took the executor (``columnar == 0``): a
+silent wholesale fallback would keep parity while losing the speedup.
 
 Usage::
 

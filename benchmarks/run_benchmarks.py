@@ -236,10 +236,10 @@ def run_build_benchmark(full: bool, jobs: int) -> dict:
 def run_fabric_benchmark(full: bool, jobs: int) -> dict:
     """Cold build times, flat vs a 2:1 oversubscribed leaf-spine fabric.
 
-    The non-flat build pays twice: the hierarchical candidates join the
-    calibration sweep, and the batched grid simulator falls back to the
-    event loop (multi-level routing is event-driven only) — this entry
-    keeps that overhead visible run over run.
+    The non-flat build pays for the hierarchical candidates joining the
+    calibration sweep and for the shared-uplink reservations every
+    cross-rack message makes — this entry keeps that overhead visible
+    run over run.
     """
     from repro.fabric import build_fabric
     from repro.service import build_artifact

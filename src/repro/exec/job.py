@@ -12,7 +12,8 @@ its parameters, the seed, the timing policy and the rank mapping — so that
   results, which is what makes the persistent result cache sound.
 
 Job kinds map one-to-one onto the experiment programs of
-:mod:`repro.measure`:
+:mod:`repro.measure` (:func:`repro.measure.job_experiment` is the one
+job→program table):
 
 ========================  ==================================================
 kind                      measurement
@@ -143,106 +144,9 @@ def execute_job(job: SimJob) -> float:
     # measurement stack when they actually execute a job.
     from repro import measure
 
-    if job.kind == "bcast":
-        return measure.time_bcast(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            job.segment_size,
-            root=job.root,
-            seed=job.seed,
-            policy=job.policy,
-            mapping=job.mapping,
-        )
-    if job.kind == "bcast_then_gather":
-        return measure.time_bcast_then_gather(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            job.segment_size,
-            job.gather_bytes,
-            root=job.root,
-            seed=job.seed,
-        )
-    if job.kind == "bcast_barrier_reps":
-        return measure.time_repeated_bcast_with_barriers(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            job.segment_size,
-            job.calls,
-            root=job.root,
-            seed=job.seed,
-            mapping=job.mapping,
-        )
-    if job.kind == "barrier_reps":
-        return measure.time_repeated_barrier(
-            job.spec, job.procs, job.calls, root=job.root, seed=job.seed
-        )
-    if job.kind == "gather":
-        return measure.time_gather(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            root=job.root,
-            seed=job.seed,
-            policy=job.policy,
-        )
-    if job.kind == "reduce":
-        return measure.time_reduce(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            job.segment_size,
-            root=job.root,
-            seed=job.seed,
-            policy=job.policy,
-        )
-    if job.kind == "reduce_then_scatter":
-        return measure.time_reduce_then_scatter(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            job.segment_size,
-            job.gather_bytes,
-            root=job.root,
-            seed=job.seed,
-        )
-    if job.kind == "barrier":
-        return measure.time_barrier(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            root=job.root,
-            seed=job.seed,
-            policy=job.policy,
-        )
-    if job.kind in ("scatter", "allreduce", "allgather", "alltoall"):
-        timer = getattr(measure, f"time_{job.kind}")
-        return timer(
-            job.spec,
-            job.algorithm,
-            job.procs,
-            job.nbytes,
-            root=job.root,
-            seed=job.seed,
-            policy=job.policy,
-        )
-    if job.kind == "p2p_roundtrip":
-        return measure.time_p2p_roundtrip(
-            job.spec,
-            job.nbytes,
-            seed=job.seed,
-            ranks=job.ranks,
-            mapping=job.mapping,
-        )
-    raise SimulationError(f"unknown job kind {job.kind!r}")  # pragma: no cover
+    return measure.run_experiment(
+        job.spec, measure.job_experiment(job), seed=job.seed
+    )
 
 
 @dataclass(frozen=True)
@@ -276,8 +180,9 @@ def execute_batch_job(batch: BatchJob) -> list[float]:
 
     Module-level and picklable, like :func:`execute_job`, so pool workers
     can execute whole slabs.  Bit-for-bit identical to mapping
-    :func:`execute_job` over the cells (the batched engine falls back to it
-    wherever its fast path cannot guarantee equality).
+    :func:`execute_job` over the cells (the batched engine replays
+    noise-free cells in the event loop's order and runs the others through
+    :func:`execute_job` itself).
     """
     from repro.sim.batch import BatchSimulator
 

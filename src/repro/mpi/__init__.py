@@ -7,7 +7,10 @@ faithful re-implementations of Open MPI's collective algorithms:
 * tag matching with MPI's non-overtaking guarantee, wildcard source/tag,
   and an unexpected-message queue;
 * eager and rendezvous protocols selected by message size;
-* communicators over arbitrary subsets of ranks.
+* communicators over arbitrary subsets of ranks;
+* :class:`ScheduleRecorder`, a communicator stand-in that streams a rank
+  program's operations to a consumer instead of simulating them (the replay
+  executor of :mod:`repro.sim.batch` consumes it).
 
 Simulated ranks are coroutines (see :mod:`repro.sim.engine`); every blocking
 MPI call is a sub-generator that the rank's body delegates to with
@@ -21,6 +24,7 @@ MPI call is a sub-generator that the rank's body delegates to with
 """
 
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator, MpiWorld
+from repro.mpi.recorder import ScheduleRecorder
 from repro.mpi.requests import Request, Status
 from repro.mpi.segmentation import SegmentPlan, plan_segments
 
@@ -30,6 +34,7 @@ __all__ = [
     "Communicator",
     "MpiWorld",
     "Request",
+    "ScheduleRecorder",
     "SegmentPlan",
     "Status",
     "plan_segments",

@@ -42,6 +42,23 @@ from repro.sim.trace import NULL_TRACER, Tracer
 RankProgram = Callable[["Communicator"], SimGen]
 
 
+def check_peer(size: int, peer: int, wildcard_ok: bool) -> None:
+    """Refuse a peer rank outside a communicator of ``size`` ranks."""
+    if wildcard_ok and peer == ANY_SOURCE:
+        return
+    if not 0 <= peer < size:
+        raise MpiError(f"peer rank {peer} outside communicator of size {size}")
+
+
+def check_send(size: int, rank: int, dest: int, nbytes: int) -> None:
+    """Refuse a send to an invalid peer, to self, or of a negative size."""
+    check_peer(size, dest, wildcard_ok=False)
+    if dest == rank:
+        raise MpiError("send to self would deadlock the rank coroutine")
+    if nbytes < 0:
+        raise MpiError(f"negative message size {nbytes}")
+
+
 class MpiWorld:
     """All simulated ranks plus the fabric they communicate over."""
 
@@ -279,14 +296,6 @@ class Communicator:
         """Current simulated time."""
         return self.world.sim.now
 
-    def _check_peer(self, peer: int, wildcard_ok: bool) -> None:
-        if wildcard_ok and peer == ANY_SOURCE:
-            return
-        if not 0 <= peer < len(self.group):
-            raise MpiError(
-                f"peer rank {peer} outside communicator of size {len(self.group)}"
-            )
-
     # -- non-blocking point-to-point ---------------------------------------
 
     def isend(
@@ -298,11 +307,7 @@ class Communicator:
         ``isend`` calls serialise on the calling rank, exactly the effect the
         paper's γ(P) parameter captures for the linear-tree broadcast.
         """
-        self._check_peer(dest, wildcard_ok=False)
-        if dest == self.rank:
-            raise MpiError("send to self would deadlock the rank coroutine")
-        if nbytes < 0:
-            raise MpiError(f"negative message size {nbytes}")
+        check_send(len(self.group), self.rank, dest, nbytes)
         world = self.world
         overhead = world.fabric.params.send_overhead
         if world.compute_factor is not None:
@@ -321,7 +326,7 @@ class Communicator:
         size); posting is free of simulated CPU time, like a real
         ``MPI_Irecv`` pre-posted buffer.
         """
-        self._check_peer(source, wildcard_ok=True)
+        check_peer(len(self.group), source, wildcard_ok=True)
         world = self.world
         request = Request(
             world.sim, "recv", self.rank, source, tag, -1 if nbytes is None else nbytes

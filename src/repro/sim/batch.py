@@ -2,9 +2,10 @@
 
 Calibration sweeps and artifact builds execute thousands of *independent*
 simulations — one per (P, m, algorithm, seed) grid cell — and each cell
-pays the full generator-coroutine event-loop overhead (~90 Python function
-calls per simulated message).  :class:`BatchSimulator` runs a whole grid in
-one call and removes that overhead where it provably can:
+pays the full generator-coroutine event-loop overhead (futures, request
+and status objects, callback closures per simulated message).
+:class:`BatchSimulator` runs a whole grid in one call and removes that
+overhead where it provably can:
 
 * **Seed dedupe.**  A noise-free cell (``noise_sigma == 0`` and no enabled
   fault plan) is seed-independent: the seed only feeds the noise and fault
@@ -13,62 +14,50 @@ one call and removes that overhead where it provably can:
   loop's zero-variance convergence needs two identical repetitions) — a
   structural 2x.
 
-* **Columnar kernels.**  For the collectives that dominate calibration
-  (the generic-tree and linear broadcasts, the tree/linear reductions, the
-  linear gather/scatter phases), the event loop is replaced by direct
-  arithmetic on per-rank clocks and per-NIC ``free_at`` arrays — the exact
-  recurrences the discrete-event engine executes, evaluated in dependency
-  order without futures, heaps or coroutines.  Topology construction and
-  placement are hoisted out of the per-cell loop and shared across message
-  sizes (:class:`_Grid`).
+* **One replay executor.**  A noise-free cell's rank programs run on
+  :class:`~repro.mpi.recorder.ScheduleRecorder` communicators, which
+  stream each rank's next operation (isend, irecv, wait, compute) whenever
+  the rank can run.  :class:`_Replay` handles those operations in exactly
+  the order :class:`~repro.sim.engine.Simulator` would — by time, then by
+  the order in which the event loop schedules its events — with
+  :class:`~repro.mpi.MpiWorld`'s FIFO matching and eager/rendezvous
+  protocol, on the fabric :meth:`ClusterSpec.make_world` builds.  Every
+  NIC, port, degraded-node and shared-uplink reservation is therefore
+  made in the event loop's order, so results are bit-identical by
+  construction, for every algorithm and every fabric.
 
-* **Event-loop fallback.**  Anything the kernels cannot reproduce
-  *bit-for-bit* — noise or fault models, degraded nodes, shared NIC ports,
-  unsupported algorithms (split-binary, scatter-allgather, barriers), or a
-  detected unsafe event-time tie — falls back to
-  :func:`repro.exec.job.execute_job` for that cell.  The batch layer is
-  therefore always exact: the fast path is taken only where equality with
-  the event loop is guaranteed, and parity tests (``tests/test_sim_batch.py``)
-  assert bit-identical results over the full calibration grid.
-
-Exactness argument (why plain arithmetic can match an event loop):
-
-1. Within one rank, simulated time only advances through ``timeout`` /
-   future completions whose timestamps are pure float expressions of
-   earlier timestamps — mirrored here verbatim (same operation order).
-2. The only *shared* mutable state is the per-NIC ``free_at`` clock, and a
-   NIC's reservations happen in the global order of ``transfer()`` calls.
-   With one exclusive (node, port) per rank, each egress NIC is reserved in
-   its owner's program order, and each ingress NIC's reservation order is
-   derivable: a single statically-known sender stream (tree phases), or a
-   sorted merge of sender call times (fan-in phases).
-3. Where two transfer calls carry the same timestamp the event loop's
-   ordering is an implementation detail of its heap; the kernels either
-   prove the outcome permutation-invariant (equal arrive/drain feeding one
-   ``waitall``) or refuse and fall back.
+* **Event-loop fallback.**  Only a noisy spec or an enabled fault plan
+  takes :func:`repro.exec.job.execute_job`, the generator event loop —
+  the reference every parity test (``tests/test_sim_batch.py``) compares
+  the executor against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro import obs
 from repro.clusters.spec import ClusterSpec
-from repro.collectives.reduce import DEFAULT_OP_BYTE_TIME
-from repro.mpi.segmentation import plan_segments
-from repro.topology import (
-    Tree,
-    build_binary_tree,
-    build_binomial_tree,
-    build_chain_tree,
-    build_in_order_binomial_tree,
-)
+from repro.errors import DeadlockError, SimulationError
+from repro.measure import check_policy, elapsed_time, job_experiment
+from repro.mpi.matching import Envelope, PostedRecv, RtsNotice
+from repro.mpi.recorder import IRECV, ISEND, WAIT, ScheduleRecorder
 
-__all__ = ["BatchSimulator", "BatchStats", "dedupe_key", "noise_free"]
+__all__ = [
+    "BatchSimulator", "BatchStats", "dedupe_key", "fallback_reason",
+    "noise_free", "replay",
+]
 
 
-class _Unsupported(Exception):
-    """Internal: this cell cannot take the columnar path; fall back."""
+def fallback_reason(spec: ClusterSpec) -> str | None:
+    """Why ``spec``'s cells take the event loop: ``"noise"``, ``"faults"``,
+    or ``None`` when the spec is noise-free."""
+    if spec.noise_sigma != 0.0:
+        return "noise"
+    if spec.faults is not None and spec.faults.enabled():
+        return "faults"
+    return None
 
 
 def noise_free(spec: ClusterSpec) -> bool:
@@ -78,9 +67,7 @@ def noise_free(spec: ClusterSpec) -> bool:
     plan is enabled — then the seed feeds nothing, so results for any two
     seeds are bit-identical and seed-deduplication is sound.
     """
-    return spec.noise_sigma == 0.0 and (
-        spec.faults is None or not spec.faults.enabled()
-    )
+    return fallback_reason(spec) is None
 
 
 def dedupe_key(job) -> str:
@@ -109,13 +96,15 @@ class BatchStats:
     #: Cells submitted / distinct cells after seed dedupe.
     cells: int = 0
     unique_cells: int = 0
-    #: Cells resolved by the columnar kernels / by event-loop fallback.
+    #: Cells resolved by the replay executor / by the event loop.
     columnar: int = 0
     event_loop: int = 0
     #: Cells answered by another cell's result (seed dedupe).
     deduped: int = 0
-    #: Reuses of a (spec, procs, mapping) placement across cells.
-    shared_setup_hits: int = 0
+    #: Why the event-loop cells fell back (see :func:`fallback_reason`).
+    fallback_reasons: dict = field(
+        default_factory=lambda: {"noise": 0, "faults": 0}
+    )
 
     def as_dict(self) -> dict:
         return {
@@ -124,563 +113,246 @@ class BatchStats:
             "columnar": self.columnar,
             "event_loop": self.event_loop,
             "deduped": self.deduped,
-            "shared_setup_hits": self.shared_setup_hits,
+            "fallback_reasons": dict(self.fallback_reasons),
         }
 
 
-class _Grid:
-    """Shared per-(spec, procs, mapping) setup, hoisted out of the cell loop.
-
-    Holds the rank placement and the fabric constants; verified eligible for
-    the columnar kernels at construction (raises :class:`_Unsupported`
-    otherwise).  NIC clocks are *not* here — they are per-cell run state.
-    """
-
-    __slots__ = (
-        "procs", "node", "latency", "bto", "bti", "pmo", "so", "ro",
-        "eager", "cl", "slat", "sbt",
-    )
-
-    def __init__(self, spec: ClusterSpec, procs: int, mapping: str):
-        if not noise_free(spec):
-            raise _Unsupported("noisy or faulty spec")
-        if spec.slow_nodes:
-            raise _Unsupported("degraded nodes")
-        if spec.fabric is not None and not spec.fabric.is_flat():
-            # Uplink reservations interleave across cells in ways only the
-            # event loop models; non-flat fabrics take the exact fallback.
-            raise _Unsupported("multi-level fabric")
-        net = spec.network
-        if net.send_overhead <= 0.0:
-            # Zero send overhead collapses distinct isend call times onto
-            # one timestamp; the tie-safety proofs below need them distinct.
-            raise _Unsupported("zero send_overhead")
-        placement = spec.rank_to_node(procs, mapping=mapping)
-        slots_seen: dict[int, int] = {}
-        endpoints = set()
-        for node in placement:
-            slot = slots_seen.get(node, 0)
-            slots_seen[node] = slot + 1
-            endpoint = (node, slot % spec.nics_per_node)
-            if endpoint in endpoints:
-                # Two ranks sharing a NIC port interleave reservations in
-                # ways only the event loop can order.
-                raise _Unsupported("shared NIC port")
-            endpoints.add(endpoint)
-        self.procs = procs
-        self.node = placement
-        self.latency = net.latency
-        self.bto = net.byte_time_out
-        self.bti = net.byte_time_in
-        self.pmo = net.per_message_overhead
-        self.so = net.send_overhead
-        self.ro = net.recv_overhead
-        self.eager = net.eager_limit
-        self.cl = net.control_latency
-        self.slat = net.shm_latency
-        self.sbt = net.shm_byte_time
+# -- the replay executor ------------------------------------------------------
 
 
-class _Cell:
-    """Mutable per-cell run state: rank clocks plus per-rank NIC clocks.
+class _Rank:
+    """One rank's replay state: its operation stream and what it waits on."""
 
-    ``eg``/``ig`` are each rank's exclusive egress/ingress ``free_at``
-    clocks (exclusivity checked by :class:`_Grid`); ``eg_call``/``ig_call``
-    record the last transfer-call time seen per NIC, guarding that every
-    reservation happens in global call order — a violated guard means the
-    kernel mis-derived the order and must fall back, not guess.
-    """
+    __slots__ = ("index", "ops", "blocked", "isend", "finish", "error")
 
-    __slots__ = ("g", "eg", "ig", "eg_call", "ig_call")
-
-    def __init__(self, grid: _Grid):
-        self.g = grid
-        procs = grid.procs
-        self.eg = [0.0] * procs
-        self.ig = [0.0] * procs
-        self.eg_call = [0.0] * procs
-        self.ig_call = [0.0] * procs
-
-    # -- primitive transfers ------------------------------------------------
-
-    def send_eager(self, src: int, dst: int, nbytes: int, t: float):
-        """Eager transfer called at ``t``; returns ``(inject_end, deliver)``.
-
-        Reserves both NICs immediately — valid only where ``t`` respects
-        each NIC's global call order (guarded).
-        """
-        g = self.g
-        if g.node[src] == g.node[dst]:
-            inject_end = t + nbytes * g.sbt
-            return inject_end, inject_end + g.slat
-        inject_end = self._reserve_egress(src, t, nbytes)
-        return inject_end, self._reserve_ingress(dst, t, inject_end + g.latency,
-                                                 nbytes * g.bti)
-
-    def _reserve_egress(self, src: int, t: float, nbytes: int) -> float:
-        if t < self.eg_call[src]:
-            raise _Unsupported("egress call order violated")
-        self.eg_call[src] = t
-        cost = self.g.pmo + nbytes * self.g.bto
-        free = self.eg[src]
-        start = t if t > free else free
-        end = start + cost
-        self.eg[src] = end
-        return end
-
-    def _reserve_ingress(
-        self, dst: int, t: float, arrive: float, drain: float
-    ) -> float:
-        if t < self.ig_call[dst]:
-            raise _Unsupported("ingress call order violated")
-        self.ig_call[dst] = t
-        free = self.ig[dst]
-        start = arrive if arrive > free else free
-        deliver = start + drain
-        self.ig[dst] = deliver
-        return deliver
-
-    def control(self, src: int, dst: int, t: float) -> float:
-        """Delivery time of an RTS/CTS control message sent at ``t``."""
-        g = self.g
-        return t + (g.slat if g.node[src] == g.node[dst] else g.cl)
-
-    # -- fan-out: one sender, many receivers --------------------------------
-
-    def fan_out(
-        self,
-        src: int,
-        targets: list[int],
-        nbytes: int,
-        clock: float,
-        post_of,
-        ties_ok: bool,
-    ):
-        """``isend`` of ``nbytes`` to each target, in order, from ``clock``.
-
-        Mirrors the root loop of the linear broadcast / scatter / generic
-        tree segment: each ``isend`` charges ``send_overhead`` to the
-        sender, then starts an eager or rendezvous transfer.  ``post_of``
-        maps a target to its (statically known) receive-post time — needed
-        for the rendezvous match.  Returns ``(clock_after_isends,
-        {target: (inject_end, deliver)})``.
-
-        ``ties_ok`` admits equal rendezvous payload-call times contending
-        for the sender's egress: safe only when the tied targets' downstream
-        behaviour is a pure function of their deliver time within one
-        enclosing ``waitall`` (linear broadcast, scatter) — the inject-end
-        and deliver *multisets* are permutation-invariant, so root-timed and
-        max-over-ranks results are unchanged.  Tree fan-outs pass ``False``
-        (children have distinct subtrees) and rely on strictly increasing
-        call times instead.
-        """
-        g = self.g
-        eager = nbytes <= g.eager
-        pending: list[tuple[float, int]] = []
-        out: dict[int, tuple[float, float]] = {}
-        for dst in targets:
-            clock = clock + g.so
-            if eager:
-                # Eager transfer calls happen at the isend times, strictly
-                # increasing: reserve in program order.
-                out[dst] = self.send_eager(src, dst, nbytes, clock)
-                continue
-            # Rendezvous: RTS out now; payload moves at CTS arrival.
-            rts = self.control(src, dst, clock)
-            post = post_of(dst)
-            match = rts if rts > post else post
-            cts = self.control(dst, src, match)
-            if g.node[src] == g.node[dst]:
-                inject_end = cts + nbytes * g.sbt
-                out[dst] = (inject_end, inject_end + g.slat)
-            else:
-                pending.append((cts, dst))
-        if pending:
-            pending.sort(key=lambda e: e[0])
-            if not ties_ok:
-                for (a, _), (b, _) in zip(pending, pending[1:]):
-                    if a == b:
-                        raise _Unsupported("tied rendezvous fan-out")
-            for cts, dst in pending:
-                inject_end = self._reserve_egress(src, cts, nbytes)
-                deliver = self._reserve_ingress(
-                    dst, cts, inject_end + g.latency, nbytes * g.bti
-                )
-                out[dst] = (inject_end, deliver)
-        return clock, out
-
-    # -- fan-in: many senders, one receiver ---------------------------------
-
-    def fan_in(self, dst: int, events: list) -> dict:
-        """Serialise inter-node arrivals on ``dst``'s ingress NIC.
-
-        ``events`` are ``(call_t, arrive, drain, group, key)`` tuples whose
-        egress half is already reserved (``arrive`` is final).  Reservation
-        order is ascending transfer-call time; a tie is permutation-safe —
-        and therefore allowed — only when the tied messages are
-        indistinguishable to the receiver: identical ``(arrive, drain)``
-        and the same ``group`` (one ``waitall``), making the deliver
-        multiset and its max invariant.  Returns ``{key: deliver}``.
-        """
-        events = sorted(events, key=lambda e: e[0])
-        index = 0
-        while index + 1 < len(events):
-            a, b = events[index], events[index + 1]
-            if a[0] == b[0] and (a[1] != b[1] or a[2] != b[2] or a[3] != b[3]):
-                raise _Unsupported("unsafe ingress tie")
-            index += 1
-        out = {}
-        for call_t, arrive, drain, _group, key in events:
-            out[key] = self._reserve_ingress(dst, call_t, arrive, drain)
-        return out
+    def __init__(self, index: int, ops):
+        self.index = index
+        self.ops = ops
+        #: Requests of the pending wait still incomplete.
+        self.blocked = 0
+        #: The isend operation whose CPU overhead is being charged.
+        self.isend: tuple | None = None
+        self.finish: float | None = None
+        self.error: Exception | None = None
 
 
-def _bfs_order(tree: Tree, procs: int) -> list[int]:
-    order = [tree.root]
-    frontier = [tree.root]
-    while frontier:
-        nxt: list[int] = []
-        for rank in frontier:
-            nxt.extend(tree.children[rank])
-        order.extend(nxt)
-        frontier = nxt
-    if len(order) != procs:
-        raise _Unsupported("tree does not span the communicator")
-    return order
+class _Request:
+    """A rank's pending isend or irecv."""
+
+    __slots__ = ("replay", "rank", "done", "waited")
+
+    def __init__(self, replay: "_Replay", rank: _Rank):
+        self.replay = replay
+        self.rank = rank
+        self.done = False
+        #: Whether the rank blocked on it (and resumes when it completes).
+        self.waited = False
 
 
-# -- broadcast kernels --------------------------------------------------------
+class _Send(_Request):
+    """An isend; :meth:`grant` answers its rendezvous match."""
 
+    __slots__ = ("dest", "nbytes")
 
-def _bcast_linear(cell: _Cell, root: int, nbytes: int) -> list[float]:
-    """Per-rank finish clocks of the linear broadcast (never segmented)."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    if g.procs == 1 or nbytes == 0:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # Every peer's sole action is one recv posted at time zero.
-    clock, sends = cell.fan_out(
-        root, peers, nbytes, 0.0, post_of=lambda _p: 0.0, ties_ok=True
-    )
-    eager = nbytes <= g.eager
-    for peer in peers:
-        inject_end, deliver = sends[peer]
-        # Eager: match = max(deliver, post=0) = deliver; rendezvous
-        # completes at deliver regardless of post.
-        finish[peer] = deliver + g.ro
-        if inject_end > clock:
-            clock = inject_end
-    del eager
-    finish[root] = clock
-    return finish
+    def __init__(self, replay: "_Replay", rank: _Rank, dest: int, nbytes: int):
+        super().__init__(replay, rank)
+        self.dest = dest
+        self.nbytes = nbytes
 
-
-_BCAST_TREES = {
-    "chain": lambda procs, root: build_chain_tree(procs, root, 1),
-    "k_chain": lambda procs, root: build_chain_tree(procs, root, 4),
-    "binary": build_binary_tree,
-    "binomial": build_binomial_tree,
-}
-
-
-def _bcast_tree(
-    cell: _Cell, tree: Tree, nbytes: int, segment_size: int
-) -> list[float]:
-    """Per-rank finish clocks of the generic pipelined tree broadcast."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    plan = plan_segments(nbytes, segment_size)
-    segments = plan.num_segments
-    if segments == 0:
-        return finish
-    sizes = plan.sizes
-    if segments > 1 and any(size > g.eager for size in sizes):
-        # Multi-segment rendezvous couples receiver post times back into
-        # sender timelines mid-pipeline; only the event loop orders that.
-        raise _Unsupported("segmented rendezvous pipeline")
-    # arrivals[rank][i]: deliver time of segment i from the parent, filled
-    # during the parent's walk (BFS order ensures it precedes the child's).
-    arrivals: list[list[float]] = [[] for _ in range(g.procs)]
-
-    def forward(rank: int, clock: float, children, size: int) -> float:
-        """isend ``size`` to every child, then waitall; returns the clock."""
-        # Single-segment rendezvous is admitted because every non-root rank
-        # posts its first receive at its local time zero (leaves and
-        # interiors alike start with the segment-0 irecv).
-        clock, sends = cell.fan_out(
-            rank, list(children), size, clock, post_of=lambda _c: 0.0,
-            ties_ok=False,
+    def grant(self, match_time: float, recv_done) -> None:
+        """Clear-to-send; the payload starts when it reaches the sender."""
+        replay = self.replay
+        cts = replay.fabric.control_transfer(
+            replay.node[self.dest], replay.node[self.rank.index], match_time
         )
-        for child in children:
-            inject_end, deliver = sends[child]
-            arrivals[child].append(deliver)
-            if inject_end > clock:
-                clock = inject_end
-        return clock
-
-    rendezvous = sizes[0] > g.eager
-
-    def recv_done(rank: int, index: int, post: float) -> float:
-        deliver = arrivals[rank][index]
-        if rendezvous:
-            return deliver + g.ro
-        match = deliver if deliver > post else post
-        return match + g.ro
-
-    for rank in _bfs_order(tree, g.procs):
-        children = tree.children[rank]
-        if rank == tree.root:
-            clock = 0.0
-            for size in sizes:
-                clock = forward(rank, clock, children, size)
-            finish[rank] = clock
-            continue
-        # Non-root: double-buffered receive (and forward, if interior).
-        clock = 0.0
-        posts = [0.0] * segments
-        for index in range(1, segments):
-            posts[index] = clock
-            done = recv_done(rank, index - 1, posts[index - 1])
-            if done > clock:
-                clock = done
-            if children:
-                clock = forward(rank, clock, children, sizes[index - 1])
-        done = recv_done(rank, segments - 1, posts[segments - 1])
-        if done > clock:
-            clock = done
-        if children:
-            clock = forward(rank, clock, children, sizes[segments - 1])
-        finish[rank] = clock
-    return finish
+        replay.schedule(cts, replay.payload, (self, recv_done))
 
 
-def _bcast_finishes(
-    cell: _Cell, algorithm: str, root: int, nbytes: int, segment_size: int
-) -> list[float]:
-    if algorithm == "linear":
-        return _bcast_linear(cell, root, nbytes)
-    builder = _BCAST_TREES.get(algorithm)
-    if builder is None:
-        raise _Unsupported(f"bcast algorithm {algorithm!r}")
-    if cell.g.procs == 1 or nbytes == 0:
-        return [0.0] * cell.g.procs
-    return _bcast_tree(cell, builder(cell.g.procs, root), nbytes, segment_size)
+class _Recv(_Request):
+    """An irecv, posted to the matching engine as itself."""
 
+    __slots__ = ("cid", "src", "tag")
 
-# -- gather / scatter phases --------------------------------------------------
+    matches = PostedRecv.matches
 
+    def __init__(self, replay: "_Replay", rank: _Rank, src: int, tag: int):
+        super().__init__(replay, rank)
+        self.cid = 0
+        self.src = src
+        self.tag = tag
 
-def _gather_linear(
-    cell: _Cell, root: int, nbytes: int, finish: list[float]
-) -> list[float]:
-    """Linear gather appended to per-rank clocks ``finish`` (mutated)."""
-    g = cell.g
-    if g.procs == 1:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # The root posts every receive, in peer order, at its current clock.
-    root_post = finish[root]
-    eager = nbytes <= g.eager
-    events = []
-    completes = []
-    for peer in peers:
-        clock = finish[peer] + g.so
-        if eager:
-            call_t = clock
+    def complete(self, message, now: float) -> None:
+        """Matched at ``now``: an eager payload is here, a rendezvous one
+        is granted."""
+        if message.__class__ is Envelope:
+            self.delivered(now)
         else:
-            rts = cell.control(peer, root, clock)
-            match = rts if rts > root_post else root_post
-            call_t = cell.control(root, peer, match)
-        if g.node[peer] == g.node[root]:
-            inject_end = call_t + nbytes * g.sbt
-            deliver = inject_end + g.slat
-            if eager:
-                match = deliver if deliver > root_post else root_post
-                completes.append(match + g.ro)
-            else:
-                completes.append(deliver + g.ro)
-        else:
-            inject_end = cell._reserve_egress(peer, call_t, nbytes)
-            events.append(
-                (call_t, inject_end + g.latency, nbytes * g.bti, 0, peer)
+            message.grant(now, self.delivered)
+
+    def delivered(self, deliver: float) -> None:
+        replay = self.replay
+        replay.schedule(deliver + replay.recv_overhead, replay.complete, self)
+
+
+class _Replay:
+    """One experiment's rank schedules, replayed in the event loop's order.
+
+    The queue holds ``(time, seq, handler, arg)`` events; ``seq`` counts
+    schedulings, so equal times fire in scheduling order, as in
+    :class:`~repro.sim.engine.Simulator`.  Every event the event loop
+    schedules for an :class:`~repro.mpi.MpiWorld` — a rank's start, an
+    isend's CPU overhead, a compute timeout, a send or receive completion,
+    an arrival, a clear-to-send — is scheduled here at the same point.
+    A rank resumes inside the event that completes its last awaited
+    request, as a process does inside the completing future's callback.
+    """
+
+    def __init__(self, world, program):
+        self.fabric = world.fabric
+        self.node = world.rank_to_node
+        self.port = world.rank_to_port
+        self.engines = world.engines
+        params = self.fabric.params
+        self.eager_limit = params.eager_limit
+        self.send_overhead = params.send_overhead
+        self.recv_overhead = params.recv_overhead
+        self.now = 0.0
+        self.heap: list = []
+        self.seq = 0
+        group = tuple(range(world.size))
+        self.ranks = [
+            _Rank(rank, program(ScheduleRecorder(world, group, rank)))
+            for rank in group
+        ]
+
+    def schedule(self, when: float, handler, arg) -> None:
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule into the past: {when} < now={self.now}"
             )
-        finish[peer] = clock if inject_end < clock else inject_end
-    delivers = cell.fan_in(root, events)
-    for _call_t, _arrive, _drain, _group, peer in events:
-        deliver = delivers[peer]
-        if eager:
-            match = deliver if deliver > root_post else root_post
-            completes.append(match + g.ro)
-        else:
-            completes.append(deliver + g.ro)
-    clock = root_post
-    for done in completes:
-        if done > clock:
-            clock = done
-    finish[root] = clock
-    return finish
+        self.seq += 1
+        heappush(self.heap, (when, self.seq, handler, arg))
 
+    def run(self) -> list[float]:
+        """Every rank's finish time; raises like ``run_timed`` would."""
+        for rank in self.ranks:
+            self.schedule(0.0, self.advance, rank)
+        heap = self.heap
+        while heap:
+            when, _seq, handler, arg = heappop(heap)
+            self.now = when
+            handler(arg)
+        blocked = [
+            f"rank-{rank.index}" for rank in self.ranks
+            if rank.finish is None and rank.error is None
+        ]
+        if blocked:
+            raise DeadlockError(blocked)
+        for rank in self.ranks:
+            if rank.error is not None:
+                raise rank.error
+        return [rank.finish for rank in self.ranks]
 
-def _scatter_linear(
-    cell: _Cell, root: int, nbytes: int, finish: list[float]
-) -> list[float]:
-    """Linear scatter appended to per-rank clocks ``finish`` (mutated)."""
-    g = cell.g
-    if g.procs == 1:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # Each peer's receive is posted at its current clock (known statically:
-    # the scatter is the peer's first action after its reduce-phase finish).
-    clock, sends = cell.fan_out(
-        root, peers, nbytes, finish[root],
-        post_of=lambda peer: finish[peer], ties_ok=True,
-    )
-    eager = nbytes <= g.eager
-    for peer in peers:
-        inject_end, deliver = sends[peer]
-        if eager:
-            post = finish[peer]
-            match = deliver if deliver > post else post
-            finish[peer] = match + g.ro
-        else:
-            finish[peer] = deliver + g.ro
-        if inject_end > clock:
-            clock = inject_end
-    finish[root] = clock
-    return finish
+    # -- ranks ----------------------------------------------------------------
 
-
-# -- reduce kernels -----------------------------------------------------------
-
-
-_REDUCE_TREES = {
-    "chain": lambda procs, root: build_chain_tree(procs, root, 1),
-    "binary": build_binary_tree,
-    "binomial": build_binomial_tree,
-    "in_order_binomial": build_in_order_binomial_tree,
-}
-
-
-def _reduce_linear(cell: _Cell, root: int, nbytes: int) -> list[float]:
-    """Per-rank finish clocks of the linear (direct) reduce."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    if g.procs == 1 or nbytes == 0:
-        return finish
-    eager = nbytes <= g.eager
-    events = []
-    completes = []
-    for peer in range(g.procs):
-        if peer == root:
-            continue
-        clock = 0.0 + g.so
-        if eager:
-            call_t = clock
-        else:
-            # The root posts every receive at time zero, before any RTS.
-            rts = cell.control(peer, root, clock)
-            call_t = cell.control(root, peer, rts)
-        if g.node[peer] == g.node[root]:
-            inject_end = call_t + nbytes * g.sbt
-            deliver = inject_end + g.slat
-            completes.append(deliver + g.ro)
-        else:
-            inject_end = cell._reserve_egress(peer, call_t, nbytes)
-            events.append(
-                (call_t, inject_end + g.latency, nbytes * g.bti, 0, peer)
-            )
-        finish[peer] = clock if inject_end < clock else inject_end
-    delivers = cell.fan_in(root, events)
-    for _call_t, _arrive, _drain, _group, peer in events:
-        # Posted at 0: eager match = deliver; rendezvous completes at
-        # deliver as well — identical expression either way.
-        completes.append(delivers[peer] + g.ro)
-    clock = 0.0
-    for done in completes:
-        if done > clock:
-            clock = done
-    compute = (g.procs - 1) * nbytes * DEFAULT_OP_BYTE_TIME
-    if compute > 0:
-        clock = clock + compute
-    finish[root] = clock
-    return finish
-
-
-def _reduce_tree(
-    cell: _Cell, tree: Tree, nbytes: int, segment_size: int
-) -> list[float]:
-    """Per-rank finish clocks of the generic pipelined tree reduce."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    plan = plan_segments(nbytes, segment_size)
-    segments = plan.num_segments
-    if segments == 0:
-        return finish
-    sizes = plan.sizes
-    if segments > 1 and any(size > g.eager for size in sizes):
-        raise _Unsupported("segmented rendezvous pipeline")
-    rendezvous = sizes[0] > g.eager
-    # inbox[parent]: (call_t, arrive, drain, segment, (child, segment))
-    # events plus intra-node delivers, filled by children (walked first).
-    inbox: list[list] = [[] for _ in range(g.procs)]
-    intra: list[dict] = [{} for _ in range(g.procs)]
-
-    order = _bfs_order(tree, g.procs)
-    for rank in reversed(order):
-        children = tree.children[rank]
-        parent = tree.parent[rank]
-        delivers = cell.fan_in(rank, inbox[rank]) if children else {}
-        delivers.update(intra[rank])
-        clock = 0.0
-        for index, size in enumerate(sizes):
-            if children:
-                post = clock
-                for child in children:
-                    deliver = delivers[(child, index)]
-                    if not rendezvous:
-                        deliver = deliver if deliver > post else post
-                    done = deliver + g.ro
-                    if done > clock:
-                        clock = done
-                compute = len(children) * size * DEFAULT_OP_BYTE_TIME
-                if compute > 0:
-                    clock = clock + compute
-            if rank != tree.root:
-                clock = clock + g.so
-                if rendezvous:
-                    # Single segment only (guarded above): the parent posts
-                    # all its receives at its local time zero.
-                    rts = cell.control(rank, parent, clock)
-                    call_t = cell.control(parent, rank, rts)
-                else:
-                    call_t = clock
-                if g.node[rank] == g.node[parent]:
-                    inject_end = call_t + size * g.sbt
-                    intra[parent][(rank, index)] = inject_end + g.slat
-                else:
-                    inject_end = cell._reserve_egress(rank, call_t, size)
-                    inbox[parent].append(
-                        (call_t, inject_end + g.latency, size * g.bti,
-                         index, (rank, index))
+    def advance(self, rank: _Rank, value=None) -> None:
+        """Run ``rank`` from its last operation until it blocks or ends."""
+        ops = rank.ops
+        try:
+            while True:
+                op = ops.send(value)
+                code = op[0]
+                if code == IRECV:
+                    value = _Recv(self, rank, op[1], op[2])
+                    self.engines[rank.index].post(value, self.now)
+                elif code == WAIT:
+                    blocked = 0
+                    for request in op[1]:
+                        if not request.done and not request.waited:
+                            request.waited = True
+                            blocked += 1
+                    if blocked:
+                        rank.blocked = blocked
+                        return
+                    value = None
+                elif code == ISEND:
+                    rank.isend = op
+                    self.schedule(
+                        self.now + self.send_overhead, self.start_send, rank
                     )
-                if inject_end > clock:
-                    clock = inject_end
-        finish[rank] = clock
-    return finish
+                    return
+                else:  # COMPUTE
+                    self.schedule(self.now + op[1], self.advance, rank)
+                    return
+        except StopIteration:
+            rank.finish = self.now
+        except Exception as exc:
+            # A failing rank stops; the others run on, as processes do.
+            rank.error = exc
+
+    def complete(self, request) -> None:
+        request.done = True
+        if request.waited:
+            rank = request.rank
+            rank.blocked -= 1
+            if not rank.blocked:
+                self.advance(rank)
+
+    # -- MpiWorld's point-to-point protocol -----------------------------------
+
+    def start_send(self, rank: _Rank) -> None:
+        _code, dest, nbytes, tag = rank.isend
+        src = rank.index
+        request = _Send(self, rank, dest, nbytes)
+        fabric, node = self.fabric, self.node
+        engine = self.engines[dest]
+        if nbytes <= self.eager_limit:
+            timing = fabric.transfer(
+                node[src], node[dest], nbytes, self.now,
+                self.port[src], self.port[dest],
+            )
+            self.schedule(timing.inject_end, self.complete, request)
+            envelope = Envelope(0, src, tag, nbytes, timing.deliver)
+            self.schedule(timing.deliver, self.arrive, (engine, envelope))
+        else:
+            notice = RtsNotice(0, src, tag, nbytes, request.grant)
+            rts = fabric.control_transfer(node[src], node[dest], self.now)
+            self.schedule(rts, self.arrive, (engine, notice))
+        self.advance(rank, request)
+
+    def arrive(self, arrival) -> None:
+        engine, message = arrival
+        engine.arrive(message, self.now)
+
+    def payload(self, grant) -> None:
+        """A rendezvous payload starts moving at its clear-to-send."""
+        request, recv_done = grant
+        src = request.rank.index
+        dest = request.dest
+        timing = self.fabric.transfer(
+            self.node[src], self.node[dest], request.nbytes, self.now,
+            self.port[src], self.port[dest],
+        )
+        self.schedule(timing.inject_end, self.complete, request)
+        recv_done(timing.deliver)
 
 
-def _reduce_finishes(
-    cell: _Cell, algorithm: str, root: int, nbytes: int, segment_size: int
-) -> list[float]:
-    if algorithm == "linear":
-        return _reduce_linear(cell, root, nbytes)
-    builder = _REDUCE_TREES.get(algorithm)
-    if builder is None:
-        raise _Unsupported(f"reduce algorithm {algorithm!r}")
-    if cell.g.procs == 1 or nbytes == 0:
-        return [0.0] * cell.g.procs
-    return _reduce_tree(cell, builder(cell.g.procs, root), nbytes, segment_size)
+def replay(spec: ClusterSpec, experiment, seed: int = 0) -> float:
+    """Time a :class:`~repro.measure.Experiment` on a noise-free ``spec``
+    with the replay executor; bit-identical to
+    :func:`repro.measure.run_experiment`."""
+    reason = fallback_reason(spec)
+    if reason is not None:
+        raise SimulationError(
+            f"the replay executor needs a noise-free spec ({reason})"
+        )
+    check_policy(experiment.policy)
+    world = spec.make_world(
+        experiment.procs, seed=seed, mapping=experiment.mapping
+    )
+    finish = _Replay(world, experiment.program).run()
+    elapsed = elapsed_time(world, finish, experiment.root, experiment.policy)
+    return elapsed * experiment.scale
 
 
 # -- the batch front end ------------------------------------------------------
@@ -690,114 +362,44 @@ class BatchSimulator:
     """Runs a grid of :class:`~repro.exec.job.SimJob` cells in one pass.
 
     Bit-for-bit identical to per-cell :func:`~repro.exec.job.execute_job`
-    on every input: the columnar kernels only claim cells they reproduce
-    exactly, everything else falls back to the event loop, and noise-free
-    seed variants of one cell share a single simulation.
+    on every input: noise-free cells take the replay executor, noisy and
+    faulted ones the event loop, and noise-free seed variants of one cell
+    share a single simulation.
     """
 
     def __init__(self) -> None:
         self.stats = BatchStats()
-        self._grids: dict[tuple, _Grid | None] = {}
-
-    def _grid_for(self, job) -> _Grid:
-        # ``execute_job`` forwards ``job.mapping`` only for the plain
-        # broadcast; the composite/gather/reduce measurements use
-        # ``measure``'s default block mapping — mirror that exactly.
-        mapping = job.mapping if job.kind == "bcast" else "block"
-        key = (job.spec.fingerprint(), job.procs, mapping)
-        grid = self._grids.get(key, False)
-        if grid is False:
-            try:
-                grid = _Grid(job.spec, job.procs, mapping)
-            except _Unsupported:
-                grid = None
-            self._grids[key] = grid
-        else:
-            self.stats.shared_setup_hits += 1
-        if grid is None:
-            raise _Unsupported("ineligible platform")
-        return grid
-
-    # -- columnar dispatch --------------------------------------------------
-
-    def _columnar(self, job) -> float | None:
-        """The cell's result via the columnar kernels, or None."""
-        try:
-            grid = self._grid_for(job)
-            cell = _Cell(grid)
-            if job.kind == "bcast":
-                finish = _bcast_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-            elif job.kind == "bcast_then_gather":
-                finish = _bcast_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-                finish = _gather_linear(cell, job.root, job.gather_bytes, finish)
-            elif job.kind == "gather":
-                if job.algorithm != "linear":
-                    raise _Unsupported("non-linear gather")
-                finish = _gather_linear(
-                    cell, job.root, job.nbytes, [0.0] * grid.procs
-                )
-            elif job.kind == "reduce":
-                finish = _reduce_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-            elif job.kind == "reduce_then_scatter":
-                finish = _reduce_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-                finish = _scatter_linear(
-                    cell, job.root, job.gather_bytes, finish
-                )
-            else:
-                raise _Unsupported(f"kind {job.kind!r}")
-        except _Unsupported:
-            return None
-        # The composite experiments hardcode root timing in ``measure``
-        # (their programs end on the root); ``job.policy`` only reaches the
-        # simple-collective measurements.
-        policy = (
-            "root"
-            if job.kind in ("bcast_then_gather", "reduce_then_scatter")
-            else job.policy
-        )
-        if policy == "root":
-            return finish[job.root]
-        if policy == "global":
-            return max(finish)
-        return None
-
-    # -- execution ----------------------------------------------------------
 
     def run(self, jobs) -> list[float]:
         """Results of ``jobs``, in order — one grid, one pass."""
         from repro.exec.job import execute_job
 
         jobs = list(jobs)
+        stats = self.stats
         with obs.span("sim.batch", cells=len(jobs)) as span:
             groups: dict[str, list[int]] = {}
             for index, job in enumerate(jobs):
                 groups.setdefault(dedupe_key(job), []).append(index)
-            self.stats.cells += len(jobs)
-            self.stats.unique_cells += len(groups)
-            self.stats.deduped += len(jobs) - len(groups)
+            stats.cells += len(jobs)
+            stats.unique_cells += len(groups)
+            stats.deduped += len(jobs) - len(groups)
             results: list[float] = [0.0] * len(jobs)
             for indices in groups.values():
                 job = jobs[indices[0]]
-                value = self._columnar(job)
-                if value is None:
-                    self.stats.event_loop += 1
-                    value = execute_job(job)
+                reason = fallback_reason(job.spec)
+                if reason is None:
+                    stats.columnar += 1
+                    value = replay(job.spec, job_experiment(job), seed=job.seed)
                 else:
-                    self.stats.columnar += 1
+                    stats.event_loop += 1
+                    stats.fallback_reasons[reason] += 1
+                    value = execute_job(job)
                 for index in indices:
                     results[index] = value
             span.set_attrs(
-                unique_cells=self.stats.unique_cells,
-                columnar=self.stats.columnar,
-                event_loop=self.stats.event_loop,
-                shared_setup_hits=self.stats.shared_setup_hits,
+                unique_cells=stats.unique_cells,
+                columnar=stats.columnar,
+                event_loop=stats.event_loop,
+                fallback_reasons=dict(stats.fallback_reasons),
             )
         return results

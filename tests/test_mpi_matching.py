@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.clusters import MINICLUSTER, ClusterSpec
+from repro.collectives.registry import algorithm_names, get_algorithm, operations
+from repro.fabric.builders import leaf_spine
+from repro.mpi import ScheduleRecorder
 from repro.mpi.matching import (
     ANY_SOURCE,
     ANY_TAG,
@@ -9,6 +13,7 @@ from repro.mpi.matching import (
     MatchingEngine,
     PostedRecv,
 )
+from repro.mpi.recorder import IRECV, ISEND
 
 
 def make_recv(cid=0, src=ANY_SOURCE, tag=ANY_TAG, log=None):
@@ -105,88 +110,61 @@ class TestEngineQueues:
 # -- schedule-level tag discipline -------------------------------------------
 
 
-class ScheduleRecorder:
-    """Fake communicator that records a rank's schedule without running it.
-
-    Drives the collective generators exactly as the engine would (the
-    comm methods are generators), but each operation just logs its
-    ``(peer, tag)`` pair.  Sends and receives are buffered, so recording
-    one rank never blocks on another.
-    """
-
-    def __init__(self, rank, size):
-        self.rank = rank
-        self.size = size
-        self.sends = []  # (dest, tag)
-        self.recvs = []  # (source, tag)
-
-    def _noop(self):
-        return
-        yield  # pragma: no cover - generator marker
-
-    def send(self, dest, nbytes, tag=0):
-        self.sends.append((dest, tag))
-        return self._noop()
-
-    def isend(self, dest, nbytes, tag=0):
-        self.sends.append((dest, tag))
-        return self._noop()
-
-    def recv(self, source=ANY_SOURCE, tag=ANY_TAG):
-        self.recvs.append((source, tag))
-        return self._noop()
-
-    def irecv(self, source=ANY_SOURCE, tag=ANY_TAG):
-        self.recvs.append((source, tag))
-        return self._noop()
-
-    def sendrecv(self, dest, nbytes, source, sendtag=0, recvtag=ANY_TAG):
-        self.sends.append((dest, sendtag))
-        self.recvs.append((source, recvtag))
-        return self._noop()
-
-    def waitall(self, requests):
-        return self._noop()
-
-    def compute(self, seconds):
-        return self._noop()
+def _placements(size):
+    """Worlds of ``size`` ranks: one rank per node, and two ranks per node
+    with four nodes per rack (so hierarchical trees get real rack groups)."""
+    network = MINICLUSTER.network
+    one_per_node = ClusterSpec("tags-1ppn", size, 1, network)
+    two_per_node = ClusterSpec("tags-2ppn", (size + 1) // 2, 2, network)
+    two_per_node = two_per_node.with_fabric(
+        leaf_spine(two_per_node, nodes_per_rack=4, oversubscription=2.0)
+    )
+    return (one_per_node.make_world(size), two_per_node.make_world(size))
 
 
-def record_schedules(generator, size):
-    """Every rank's recorded schedule for one collective call."""
-    recorders = [ScheduleRecorder(rank, size) for rank in range(size)]
-    for recorder in recorders:
-        for _ in generator(recorder):
-            pass
-    return recorders
+def record_schedules(program, world):
+    """Every rank's ``(sends, recvs)`` of ``(peer, tag)`` pairs for one
+    collective call, read by answering each operation at once."""
+    group = tuple(range(world.size))
+    schedules = []
+    for rank in group:
+        sends, recvs = [], []
+        ops = program(ScheduleRecorder(world, group, rank))
+        for op in ops:
+            if op[0] == ISEND:
+                sends.append((op[1], op[3]))
+            elif op[0] == IRECV:
+                recvs.append((op[1], op[2]))
+        schedules.append((sends, recvs))
+    return schedules
 
 
-def whole_suite_schedules(size, nbytes=4096):
-    """(label, per-rank recorders) for every whole-suite algorithm."""
-    from repro.collectives.allgather import ALLGATHER_ALGORITHMS
-    from repro.collectives.allreduce import ALLREDUCE_ALGORITHMS
-    from repro.collectives.alltoall import ALLTOALL_ALGORITHMS
-    from repro.collectives.scatter import SCATTER_ALGORITHMS
-
-    for operation, catalogue in (
-        ("allreduce", ALLREDUCE_ALGORITHMS),
-        ("allgather", ALLGATHER_ALGORITHMS),
-        ("alltoall", ALLTOALL_ALGORITHMS),
-    ):
-        for name, algorithm in catalogue.items():
-            yield (
-                f"{operation}.{name}",
-                record_schedules(lambda c, a=algorithm: a(c, nbytes), size),
-            )
-    for name, algorithm in SCATTER_ALGORITHMS.items():
-        yield (
-            f"scatter.{name}",
-            record_schedules(lambda c, a=algorithm: a(c, 0, nbytes), size),
-        )
+def whole_suite_schedules(size, nbytes=4096, segment_size=1024):
+    """(label, per-rank schedules) for every algorithm of all eight
+    collectives, on both placements."""
+    calls = {
+        "bcast": lambda a: lambda c: a(c, 0, nbytes, segment_size),
+        "reduce": lambda a: lambda c: a(c, 0, nbytes, segment_size),
+        "gather": lambda a: lambda c: a(c, 0, nbytes),
+        "scatter": lambda a: lambda c: a(c, 0, nbytes),
+        "barrier": lambda a: a,
+        "allreduce": lambda a: lambda c: a(c, nbytes),
+        "allgather": lambda a: lambda c: a(c, nbytes),
+        "alltoall": lambda a: lambda c: a(c, nbytes),
+    }
+    assert sorted(calls) == sorted(operations())
+    for placement, world in zip(("1ppn", "2ppn-racks"), _placements(size)):
+        for operation, call in calls.items():
+            for name in algorithm_names(operation):
+                program = call(get_algorithm(operation, name))
+                yield (
+                    f"{operation}.{name}@{placement}",
+                    record_schedules(program, world),
+                )
 
 
 class TestScheduleTagDiscipline:
-    """No (peer, tag) collision inside any whole-suite schedule.
+    """No (peer, tag) collision inside any collective's schedule.
 
     Two same-tag sends to one destination (or two same-tag receives from
     one source) posted by the same rank rely on FIFO non-overtaking to
@@ -196,35 +174,35 @@ class TestScheduleTagDiscipline:
     exceed every fixed offset in the tag layout (the +100/+200/+300
     allgather round bases and the ring's former +200 phase gap), so an
     aliasing regression fails here before it can corrupt a simulation.
+    Every algorithm of the eight collectives runs on two placements: one
+    rank per node, and two ranks per node in racks of four nodes, where
+    the hierarchical algorithms build real rack-leader trees.
     """
 
     @pytest.mark.parametrize("size", (2, 3, 4, 5, 7, 8, 16, 129, 256))
     def test_no_peer_tag_collision_within_any_rank(self, size):
-        for label, recorders in whole_suite_schedules(size):
-            for recorder in recorders:
-                for direction, ops in (
-                    ("send", recorder.sends),
-                    ("recv", recorder.recvs),
-                ):
+        for label, schedules in whole_suite_schedules(size):
+            for rank, (sends, recvs) in enumerate(schedules):
+                for direction, ops in (("send", sends), ("recv", recvs)):
                     seen = set()
                     for peer, tag in ops:
                         assert (peer, tag) not in seen, (
-                            f"{label}: rank {recorder.rank} {direction}s "
+                            f"{label}: rank {rank} {direction}s "
                             f"(peer={peer}, tag={tag}) twice at P={size}"
                         )
                         seen.add((peer, tag))
 
     @pytest.mark.parametrize("size", (2, 3, 5, 8, 129))
     def test_every_send_has_exactly_one_matching_recv(self, size):
-        for label, recorders in whole_suite_schedules(size):
+        for label, schedules in whole_suite_schedules(size):
             sends = sorted(
-                (recorder.rank, dest, tag)
-                for recorder in recorders
-                for dest, tag in recorder.sends
+                (rank, dest, tag)
+                for rank, (rank_sends, _) in enumerate(schedules)
+                for dest, tag in rank_sends
             )
             recvs = sorted(
-                (source, recorder.rank, tag)
-                for recorder in recorders
-                for source, tag in recorder.recvs
+                (source, rank, tag)
+                for rank, (_, rank_recvs) in enumerate(schedules)
+                for source, tag in rank_recvs
             )
             assert sends == recvs, f"{label}: unmatched traffic at P={size}"

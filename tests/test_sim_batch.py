@@ -2,11 +2,11 @@
 
 The load-bearing properties:
 
-* the columnar fast path is **bit-for-bit identical** to the event-loop
-  engine over the full calibration grid of every collective's pipeline;
-* ineligible cells (noise, fault plans, unsupported algorithms) fall back
-  to :func:`repro.exec.execute_job` cleanly, still returning identical
-  results;
+* the replay executor is **bit-for-bit identical** to the event-loop
+  engine over the full calibration grid of every collective's pipeline,
+  flat and multi-level fabric alike, with no noise-free cell falling back;
+* noisy and faulted cells fall back to :func:`repro.exec.execute_job`
+  cleanly, still returning identical results, and say why;
 * the runner's batched prefetch is equivalent to the serial path and a
   warm persistent cache replays a batch with *zero* new simulations.
 """
@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.clusters import GRISOU, MINICLUSTER
 from repro.estimation.alphabeta import (
     OPERATION_PROFILES,
     alphabeta_prefetch_jobs,
 )
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
+from repro.fabric import build_fabric
 from repro.faults.plan import FaultPlan, StragglerFault
 from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
 from repro.units import KiB, MiB
@@ -31,9 +33,10 @@ SIZES = (1 * KiB, 64 * KiB, 1 * MiB)
 #: node and the spread/block distinction that MINICLUSTER (1 ppn) cannot.
 GRISOU_QUIET = GRISOU.with_noise(0.0)
 
-
-#: Job kinds of the broadcast and reduce calibration experiments.
-DOMINANT_KINDS = ("bcast_then_gather", "reduce_then_scatter")
+#: The 2:1 oversubscribed leaf-spine: shared-uplink reservations.
+MINICLUSTER_LEAF_SPINE = MINICLUSTER.with_fabric(
+    build_fabric("leaf_spine_2to1", MINICLUSTER)
+)
 
 
 def calibration_grid(spec, procs):
@@ -52,8 +55,8 @@ def calibration_grid(spec, procs):
 class TestColumnarParity:
     @pytest.mark.parametrize(
         "spec,procs",
-        [(MINICLUSTER, 12), (GRISOU_QUIET, 24)],
-        ids=["minicluster", "grisou-quiet"],
+        [(MINICLUSTER, 12), (GRISOU_QUIET, 24), (MINICLUSTER_LEAF_SPINE, 12)],
+        ids=["minicluster", "grisou-quiet", "minicluster-leaf-spine"],
     )
     def test_full_calibration_grid_bit_identical(self, spec, procs):
         jobs = calibration_grid(spec, procs)
@@ -62,12 +65,20 @@ class TestColumnarParity:
         want = [execute_job(job) for job in jobs]
         assert got == want  # bit-for-bit, not approx
         assert sim.stats.cells == len(jobs)
-        # The dominant broadcast/reduce grids must actually take the
-        # columnar path — a silent wholesale fallback would pass parity
-        # while destroying the speedup.
+        # Every cell of all eight collectives takes the replay executor —
+        # a silent fallback would pass parity while destroying the speedup.
+        assert sim.stats.event_loop == 0
+        assert sim.stats.columnar == sim.stats.unique_cells
+
+    def test_split_binary_takes_the_executor_and_matches(self):
+        jobs = [
+            SimJob(spec=MINICLUSTER, kind="bcast", procs=12,
+                   algorithm="split_binary", nbytes=64 * KiB,
+                   segment_size=8 * KiB)
+        ]
         sim = BatchSimulator()
-        sim.run([job for job in jobs if job.kind in DOMINANT_KINDS])
-        assert sim.stats.columnar > sim.stats.event_loop
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.event_loop == 0
 
     def test_bcast_root_and_policy_variants(self):
         jobs = [
@@ -134,15 +145,28 @@ class TestFallback:
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
         assert sim.stats.event_loop == 1
 
-    def test_unsupported_algorithm_falls_back_and_matches(self):
+    def test_fallback_reasons_counted_and_traced(self):
+        faulted = MINICLUSTER.with_faults(
+            FaultPlan(stragglers=(StragglerFault(node=2, inject_factor=2.0),))
+        )
         jobs = [
-            SimJob(spec=MINICLUSTER, kind="bcast", procs=12,
-                   algorithm="split_binary", nbytes=64 * KiB,
-                   segment_size=8 * KiB)
+            SimJob(spec=spec, kind="bcast", procs=8, algorithm="binomial",
+                   nbytes=8 * KiB)
+            for spec in (MINICLUSTER.with_noise(0.2), faulted, MINICLUSTER)
         ]
-        sim = BatchSimulator()
-        assert sim.run(jobs) == [execute_job(job) for job in jobs]
-        assert sim.stats.event_loop == 1
+        recorder = obs.enable()
+        recorder.clear()
+        try:
+            sim = BatchSimulator()
+            assert sim.run(jobs) == [execute_job(job) for job in jobs]
+            [span] = [s for s in recorder.finished() if s.name == "sim.batch"]
+        finally:
+            obs.disable()
+            recorder.clear()
+        assert sim.stats.fallback_reasons == {"noise": 1, "faults": 1}
+        assert sim.stats.event_loop == 2 and sim.stats.columnar == 1
+        assert span.attributes["fallback_reasons"] == {"noise": 1, "faults": 1}
+        assert span.attributes["event_loop"] == 2
 
 
 class TestRunnerIntegration:
