@@ -9,11 +9,13 @@ the batched engine ships under:
   event-loop results, cell for cell;
 * **speed**: the batched pass takes at most 0.9x the event-loop wall
   time (in practice it is far below that: seed-dedupe alone halves the
-  noise-free work, and the replay executor runs every noise-free cell
-  without the event loop's futures and callbacks).
+  seed-free work, and the replay executor runs every cell without the
+  event loop's futures and callbacks).
 
-It also fails when no cell took the executor (``columnar == 0``): a
-silent wholesale fallback would keep parity while losing the speedup.
+It also fails when no cell took the executor (``columnar == 0``).  The
+grid is noise-free; noisy and faulted cells, which the executor replays
+too, are gated end to end by the CI step that compares a batched and an
+event-loop ``repro chaos`` sweep byte for byte.
 
 Usage::
 

@@ -7,6 +7,9 @@ paper evaluates on (Grisou and Gros) plus a few generic platforms.
 """
 
 from repro.clusters.presets import GRISOU, GROS, MINICLUSTER, PRESETS, get_preset
-from repro.clusters.spec import ClusterSpec
+from repro.clusters.spec import ClusterSpec, seed_free
 
-__all__ = ["ClusterSpec", "GRISOU", "GROS", "MINICLUSTER", "PRESETS", "get_preset"]
+__all__ = [
+    "ClusterSpec", "GRISOU", "GROS", "MINICLUSTER", "PRESETS", "get_preset",
+    "seed_free",
+]

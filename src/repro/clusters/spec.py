@@ -91,7 +91,9 @@ class ClusterSpec:
 
         Each call builds an independent simulator; pass distinct ``seed``
         values to obtain independent noise realisations (repetitions of a
-        measurement).
+        measurement).  Every seeded component built here must be one that
+        :func:`seed_free` looks for: the batched engine shares one
+        simulation between seeds of a spec it calls seed-free.
         """
         sigma = self.noise_sigma if noise_sigma is None else noise_sigma
         placement = self.rank_to_node(procs, mapping=mapping)
@@ -260,3 +262,21 @@ class ClusterSpec:
         if self.fabric is not None and not self.fabric.is_flat():
             line += f", fabric {self.fabric.name}"
         return line
+
+
+def seed_free(spec: ClusterSpec) -> bool:
+    """Whether ``spec``'s simulations give the same result for every seed.
+
+    :meth:`ClusterSpec.make_world` feeds the seed to three components
+    only: the lognormal noise (``noise_sigma > 0``), a fault plan's
+    heavy-tailed noise, and its message-loss draws (``rate > 0``).  Without
+    them — stragglers, degraded or flapping links and slow nodes are
+    deterministic — any two seeds give bit-identical results, so seed
+    repetitions of one measurement may share one simulation.
+    """
+    if spec.noise_sigma > 0:
+        return False
+    plan = spec.faults
+    if plan is None:
+        return True
+    return plan.noise is None and (plan.loss is None or plan.loss.rate == 0.0)

@@ -180,9 +180,8 @@ def execute_batch_job(batch: BatchJob) -> list[float]:
 
     Module-level and picklable, like :func:`execute_job`, so pool workers
     can execute whole slabs.  Bit-for-bit identical to mapping
-    :func:`execute_job` over the cells (the batched engine replays
-    noise-free cells in the event loop's order and runs the others through
-    :func:`execute_job` itself).
+    :func:`execute_job` over the cells: the batched engine replays every
+    cell in the event loop's order.
     """
     from repro.sim.batch import BatchSimulator
 

@@ -65,7 +65,8 @@ class ExecStats:
     pool_failures: int = 0
     fallback_batches: int = 0
     #: Cells resolved through the batched engine, and how many of those
-    #: were answered by another cell's result (noise-free seed dedupe).
+    #: were answered by another cell's result (seed dedupe on seed-free
+    #: specs).
     batched_cells: int = 0
     deduped_cells: int = 0
 
@@ -308,8 +309,8 @@ class ParallelRunner:
         """Warm memo and cache with ``batch`` via the batched engine.
 
         ``batch`` must be fingerprint-unique (the :meth:`prefetch` contract).
-        Cells that would produce the same float (noise-free seed
-        repetitions) collapse to one simulation *before* slabbing, so the
+        Cells that would produce the same float (seed repetitions on a
+        seed-free spec) collapse to one simulation *before* slabbing, so the
         dedupe works across slab boundaries; every original fingerprint
         still receives its own memo and cache entry, keeping warm-cache
         replay identical to the per-job path.

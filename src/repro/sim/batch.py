@@ -5,83 +5,59 @@ simulations — one per (P, m, algorithm, seed) grid cell — and each cell
 pays the full generator-coroutine event-loop overhead (futures, request
 and status objects, callback closures per simulated message).
 :class:`BatchSimulator` runs a whole grid in one call and removes that
-overhead where it provably can:
+overhead:
 
-* **Seed dedupe.**  A noise-free cell (``noise_sigma == 0`` and no enabled
-  fault plan) is seed-independent: the seed only feeds the noise and fault
-  models.  Cells differing solely in ``seed`` collapse to one simulation,
-  and calibration prefetches ship every measurement twice (the adaptive
-  loop's zero-variance convergence needs two identical repetitions) — a
-  structural 2x.
+* **Seed dedupe.**  A cell on a :func:`~repro.clusters.seed_free` spec
+  (no noise, no message loss) gives the same result for every seed, so
+  cells differing solely in ``seed`` collapse to one simulation.
+  Calibration prefetches ship every measurement at least twice (the
+  adaptive loop's zero-variance convergence needs two identical
+  repetitions) — a structural 2x.
 
-* **One replay executor.**  A noise-free cell's rank programs run on
+* **One replay executor, for every cell.**  A cell's rank programs run on
   :class:`~repro.mpi.recorder.ScheduleRecorder` communicators, which
   stream each rank's next operation (isend, irecv, wait, compute) whenever
   the rank can run.  :class:`_Replay` handles those operations in exactly
   the order :class:`~repro.sim.engine.Simulator` would — by time, then by
   the order in which the event loop schedules its events — with
-  :class:`~repro.mpi.MpiWorld`'s FIFO matching and eager/rendezvous
-  protocol, on the fabric :meth:`ClusterSpec.make_world` builds.  Every
-  NIC, port, degraded-node and shared-uplink reservation is therefore
-  made in the event loop's order, so results are bit-identical by
-  construction, for every algorithm and every fabric.
-
-* **Event-loop fallback.**  Only a noisy spec or an enabled fault plan
-  takes :func:`repro.exec.job.execute_job`, the generator event loop —
-  the reference every parity test (``tests/test_sim_batch.py``) compares
-  the executor against.
+  :class:`~repro.mpi.MpiWorld`'s FIFO matching, eager/rendezvous protocol
+  and per-rank CPU slowdown, on the fabric :meth:`ClusterSpec.make_world`
+  builds.  Every NIC, port, degraded-node and shared-uplink reservation,
+  and every noise, message-loss and link-window draw of a noisy or
+  faulted fabric, is therefore made in the event loop's order, so results
+  are bit-identical by construction, for every algorithm, fabric and
+  fault plan.  :func:`repro.exec.job.execute_job`, the generator event
+  loop, stays the reference every parity test (``tests/test_sim_batch.py``,
+  ``tests/test_replay_executor.py``) compares the executor against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro import obs
-from repro.clusters.spec import ClusterSpec
+from repro.clusters.spec import ClusterSpec, seed_free
 from repro.errors import DeadlockError, SimulationError
 from repro.measure import check_policy, elapsed_time, job_experiment
 from repro.mpi.matching import Envelope, PostedRecv, RtsNotice
 from repro.mpi.recorder import IRECV, ISEND, WAIT, ScheduleRecorder
 
-__all__ = [
-    "BatchSimulator", "BatchStats", "dedupe_key", "fallback_reason",
-    "noise_free", "replay",
-]
-
-
-def fallback_reason(spec: ClusterSpec) -> str | None:
-    """Why ``spec``'s cells take the event loop: ``"noise"``, ``"faults"``,
-    or ``None`` when the spec is noise-free."""
-    if spec.noise_sigma != 0.0:
-        return "noise"
-    if spec.faults is not None and spec.faults.enabled():
-        return "faults"
-    return None
-
-
-def noise_free(spec: ClusterSpec) -> bool:
-    """Whether a spec's simulations are seed-independent.
-
-    True when the fabric noise is unit (``noise_sigma == 0``) and no fault
-    plan is enabled — then the seed feeds nothing, so results for any two
-    seeds are bit-identical and seed-deduplication is sound.
-    """
-    return fallback_reason(spec) is None
+__all__ = ["BatchSimulator", "BatchStats", "dedupe_key", "replay"]
 
 
 def dedupe_key(job) -> str:
     """Collapsing key for grid cells that must produce the same float.
 
-    A noise-free cell's result is seed-independent (the seed only feeds the
-    noise and fault models), so seed repetitions of one measurement share a
-    key; anything else falls back to the full job fingerprint.
+    A cell on a :func:`~repro.clusters.seed_free` spec gives the same result
+    for every seed, so seed repetitions of one measurement share a key;
+    anything else keys on the full job fingerprint.
     """
-    if not noise_free(job.spec):
+    if not seed_free(job.spec):
         return job.fingerprint()
     return "|".join(
         (
-            "nf", job.spec.fingerprint(), job.kind, str(job.procs),
+            "sf", job.spec.fingerprint(), job.kind, str(job.procs),
             job.algorithm, str(job.nbytes), str(job.segment_size),
             str(job.gather_bytes), str(job.calls), str(job.root),
             job.policy, job.mapping, repr(tuple(job.ranks)),
@@ -96,24 +72,17 @@ class BatchStats:
     #: Cells submitted / distinct cells after seed dedupe.
     cells: int = 0
     unique_cells: int = 0
-    #: Cells resolved by the replay executor / by the event loop.
+    #: Cells resolved by the replay executor.
     columnar: int = 0
-    event_loop: int = 0
     #: Cells answered by another cell's result (seed dedupe).
     deduped: int = 0
-    #: Why the event-loop cells fell back (see :func:`fallback_reason`).
-    fallback_reasons: dict = field(
-        default_factory=lambda: {"noise": 0, "faults": 0}
-    )
 
     def as_dict(self) -> dict:
         return {
             "cells": self.cells,
             "unique_cells": self.unique_cells,
             "columnar": self.columnar,
-            "event_loop": self.event_loop,
             "deduped": self.deduped,
-            "fallback_reasons": dict(self.fallback_reasons),
         }
 
 
@@ -121,13 +90,23 @@ class BatchStats:
 
 
 class _Rank:
-    """One rank's replay state: its operation stream and what it waits on."""
+    """One rank's replay state: its operation stream, its CPU costs and
+    what it waits on."""
 
-    __slots__ = ("index", "ops", "blocked", "isend", "finish", "error")
+    __slots__ = (
+        "index", "ops", "send_overhead", "compute_factor", "blocked",
+        "isend", "finish", "error",
+    )
 
-    def __init__(self, index: int, ops):
+    def __init__(self, index: int, ops, send_overhead: float,
+                 compute_factor: float):
         self.index = index
         self.ops = ops
+        #: Each isend's CPU cost and the factor on each compute, with the
+        #: rank's CPU slowdown applied as :class:`~repro.mpi.Communicator`
+        #: applies it (a factor of 1.0 leaves every cost exact).
+        self.send_overhead = send_overhead
+        self.compute_factor = compute_factor
         #: Requests of the pending wait still incomplete.
         self.blocked = 0
         #: The isend operation whose CPU overhead is being charged.
@@ -214,14 +193,17 @@ class _Replay:
         self.engines = world.engines
         params = self.fabric.params
         self.eager_limit = params.eager_limit
-        self.send_overhead = params.send_overhead
         self.recv_overhead = params.recv_overhead
         self.now = 0.0
         self.heap: list = []
         self.seq = 0
         group = tuple(range(world.size))
+        factors = world.compute_factor or [1.0] * world.size
         self.ranks = [
-            _Rank(rank, program(ScheduleRecorder(world, group, rank)))
+            _Rank(
+                rank, program(ScheduleRecorder(world, group, rank)),
+                params.send_overhead * factors[rank], factors[rank],
+            )
             for rank in group
         ]
 
@@ -278,11 +260,14 @@ class _Replay:
                 elif code == ISEND:
                     rank.isend = op
                     self.schedule(
-                        self.now + self.send_overhead, self.start_send, rank
+                        self.now + rank.send_overhead, self.start_send, rank
                     )
                     return
                 else:  # COMPUTE
-                    self.schedule(self.now + op[1], self.advance, rank)
+                    self.schedule(
+                        self.now + op[1] * rank.compute_factor,
+                        self.advance, rank,
+                    )
                     return
         except StopIteration:
             rank.finish = self.now
@@ -338,14 +323,8 @@ class _Replay:
 
 
 def replay(spec: ClusterSpec, experiment, seed: int = 0) -> float:
-    """Time a :class:`~repro.measure.Experiment` on a noise-free ``spec``
-    with the replay executor; bit-identical to
-    :func:`repro.measure.run_experiment`."""
-    reason = fallback_reason(spec)
-    if reason is not None:
-        raise SimulationError(
-            f"the replay executor needs a noise-free spec ({reason})"
-        )
+    """Time a :class:`~repro.measure.Experiment` on ``spec`` with the
+    replay executor; bit-identical to :func:`repro.measure.run_experiment`."""
     check_policy(experiment.policy)
     world = spec.make_world(
         experiment.procs, seed=seed, mapping=experiment.mapping
@@ -362,9 +341,8 @@ class BatchSimulator:
     """Runs a grid of :class:`~repro.exec.job.SimJob` cells in one pass.
 
     Bit-for-bit identical to per-cell :func:`~repro.exec.job.execute_job`
-    on every input: noise-free cells take the replay executor, noisy and
-    faulted ones the event loop, and noise-free seed variants of one cell
-    share a single simulation.
+    on every input: every cell takes the replay executor, and the seed
+    variants of a cell on a seed-free spec share a single simulation.
     """
 
     def __init__(self) -> None:
@@ -372,8 +350,6 @@ class BatchSimulator:
 
     def run(self, jobs) -> list[float]:
         """Results of ``jobs``, in order — one grid, one pass."""
-        from repro.exec.job import execute_job
-
         jobs = list(jobs)
         stats = self.stats
         with obs.span("sim.batch", cells=len(jobs)) as span:
@@ -386,20 +362,11 @@ class BatchSimulator:
             results: list[float] = [0.0] * len(jobs)
             for indices in groups.values():
                 job = jobs[indices[0]]
-                reason = fallback_reason(job.spec)
-                if reason is None:
-                    stats.columnar += 1
-                    value = replay(job.spec, job_experiment(job), seed=job.seed)
-                else:
-                    stats.event_loop += 1
-                    stats.fallback_reasons[reason] += 1
-                    value = execute_job(job)
+                stats.columnar += 1
+                value = replay(job.spec, job_experiment(job), seed=job.seed)
                 for index in indices:
                     results[index] = value
             span.set_attrs(
-                unique_cells=stats.unique_cells,
-                columnar=stats.columnar,
-                event_loop=stats.event_loop,
-                fallback_reasons=dict(stats.fallback_reasons),
+                unique_cells=stats.unique_cells, columnar=stats.columnar
             )
         return results

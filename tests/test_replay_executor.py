@@ -1,10 +1,14 @@
 """Differential tests of the replay executor against the event loop.
 
-:mod:`repro.sim.batch` replays noise-free cells on
+:mod:`repro.sim.batch` replays every cell on
 :class:`~repro.mpi.ScheduleRecorder` rank schedules instead of running
 :func:`repro.exec.execute_job`'s generator event loop.  The two must agree
-bit for bit on every job kind, every algorithm and every noise-free
-platform shape, and must fail the same way on broken rank programs.
+bit for bit on every job kind, every algorithm and every platform shape —
+noisy and faulted ones included, whose noise, loss and link-window draws
+the executor must make in the event loop's order — and must fail the same
+way on broken rank programs.  :func:`repro.clusters.seed_free`, which lets
+the batched engine share one simulation between seeds, must hold exactly
+on the platforms whose results ignore the seed.
 """
 
 from __future__ import annotations
@@ -14,26 +18,53 @@ from dataclasses import replace
 
 import pytest
 
-from repro.clusters import GRISOU, MINICLUSTER
+from repro.clusters import GRISOU, MINICLUSTER, seed_free
 from repro.collectives.registry import algorithm_names
 from repro.errors import DeadlockError, MpiError, SimulationError
 from repro.exec import SimJob, execute_job
 from repro.exec.job import JOB_KINDS
 from repro.fabric import build_fabric
+from repro.faults import (
+    FaultPlan,
+    HeavyTailSpec,
+    LinkFault,
+    MessageLoss,
+    StragglerFault,
+)
 from repro.measure import Experiment, run_experiment
 from repro.mpi import ScheduleRecorder
 from repro.sim.batch import BatchSimulator, replay
+from repro.units import KiB
 
 GRISOU_QUIET = GRISOU.with_noise(0.0)
 
-#: Every noise-free platform shape the executor must reproduce: flat,
-#: two- and three-level fabrics, degraded nodes, tied isend times, two
-#: ranks on two NIC ports per node, and two ranks sharing one port.
+MINICLUSTER_LEAF_SPINE = MINICLUSTER.with_fabric(
+    build_fabric("leaf_spine_2to1", MINICLUSTER)
+)
+
+#: Slow hosts: CPU slowdown (``compute_factor``) on the isend overhead
+#: and compute of ranks on nodes 0, 1 and 6, slower injection on node 1.
+STRAGGLERS = (
+    StragglerFault(node=0, compute_factor=2.0),
+    StragglerFault(node=1, inject_factor=2.0, compute_factor=3.0),
+    StragglerFault(node=6, compute_factor=1.5),
+)
+
+#: A link flapping every 20 us and one degraded for a window, both on
+#: MINICLUSTER's microsecond scale, so messages fall on both sides.
+FLAPPING_LINKS = (
+    LinkFault(src=0, dst=1, latency_factor=4.0, byte_factor=3.0,
+              period=20e-6, on_fraction=0.5),
+    LinkFault(src=3, dst=2, byte_factor=5.0, start=5e-6, end=200e-6),
+)
+
+#: Every platform shape the executor must reproduce: flat, two- and
+#: three-level fabrics, degraded nodes, tied isend times, two ranks on two
+#: NIC ports per node, two ranks sharing one port — and the noisy and
+#: faulted platforms, alone and combined.
 SPECS = {
     "flat": MINICLUSTER,
-    "leaf-spine": MINICLUSTER.with_fabric(
-        build_fabric("leaf_spine_2to1", MINICLUSTER)
-    ),
+    "leaf-spine": MINICLUSTER_LEAF_SPINE,
     "fat-tree": MINICLUSTER.with_fabric(
         build_fabric("fat_tree_4to1", MINICLUSTER)
     ),
@@ -46,6 +77,27 @@ SPECS = {
     ),
     "grisou-2ppn": GRISOU_QUIET,
     "grisou-shared-port": replace(GRISOU_QUIET, nics_per_node=1),
+    "noisy": MINICLUSTER.with_noise(0.05),
+    "grisou-noisy": GRISOU,
+    "stragglers": MINICLUSTER.with_faults(FaultPlan(stragglers=STRAGGLERS)),
+    "flapping-links": MINICLUSTER.with_faults(
+        FaultPlan(links=FLAPPING_LINKS)
+    ),
+    "loss": MINICLUSTER.with_faults(
+        FaultPlan(loss=MessageLoss(rate=0.2, timeout=50e-6))
+    ),
+    "heavy-tail": MINICLUSTER.with_faults(FaultPlan(noise=HeavyTailSpec())),
+    "leaf-spine-stragglers-noisy": MINICLUSTER_LEAF_SPINE.with_noise(
+        0.05
+    ).with_faults(FaultPlan(stragglers=STRAGGLERS)),
+    "chaos": MINICLUSTER_LEAF_SPINE.with_noise(0.05).with_faults(
+        FaultPlan(
+            stragglers=STRAGGLERS,
+            links=FLAPPING_LINKS,
+            loss=MessageLoss(rate=0.2, timeout=50e-6),
+            noise=HeavyTailSpec(kind="mixture", spike_probability=0.1),
+        )
+    ),
 }
 
 #: The catalogue each job kind draws its algorithm from.
@@ -74,8 +126,8 @@ def kind_algorithms():
 
 
 def random_job(rng: random.Random, spec, kind: str, algorithm: str) -> SimJob:
-    """A random noise-free cell: P in 1..16, sizes on both sides of the
-    eager limit and across segment boundaries, random root and policy."""
+    """A random cell: P in 1..16, sizes on both sides of the eager limit
+    and across segment boundaries, random root, policy and seed."""
     eager = spec.network.eager_limit
     procs = rng.randint(1, 16)
     segment = rng.choice((0, eager // 2, 2 * eager))
@@ -108,7 +160,7 @@ class TestRandomCellParity:
                 job = random_job(rng, spec, kind, algorithm)
                 sim = BatchSimulator()
                 assert sim.run([job]) == [execute_job(job)], job
-                assert sim.stats.event_loop == 0
+                assert sim.stats.columnar == 1
 
     def test_every_kind_and_algorithm_covered(self):
         pairs = set(kind_algorithms())
@@ -116,6 +168,20 @@ class TestRandomCellParity:
         for algorithm in ("split_binary", "scatter_allgather", "hierarchical"):
             assert ("bcast", algorithm) in pairs
         assert ("reduce", "hierarchical") in pairs
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_seed_free_exactly_when_seeds_agree(self, name):
+        # A multi-message inter-node cell: 8 segments down a 7-hop chain.
+        spec = SPECS[name]
+        results = {
+            execute_job(
+                SimJob(spec=spec, kind="bcast", procs=8, algorithm="chain",
+                       nbytes=64 * KiB, segment_size=8 * KiB,
+                       mapping="spread", seed=seed)
+            )
+            for seed in (0, 1, 2)
+        }
+        assert seed_free(spec) == (len(results) == 1), results
 
 
 # -- error parity ---------------------------------------------------------------
@@ -150,21 +216,24 @@ def _bad_peer_blocks_others(comm):
 
 class TestErrorParity:
     @pytest.mark.parametrize(
-        "program,error",
+        "program,error,spec",
         [
-            (_deadlock, DeadlockError),
-            (_unmatched, SimulationError),
-            (_self_send, MpiError),
-            (_bad_peer_blocks_others, DeadlockError),
+            (_deadlock, DeadlockError, MINICLUSTER),
+            (_unmatched, SimulationError, MINICLUSTER),
+            (_self_send, MpiError, MINICLUSTER),
+            (_bad_peer_blocks_others, DeadlockError, MINICLUSTER),
+            (_deadlock, DeadlockError, SPECS["stragglers"]),
+            (_unmatched, SimulationError, SPECS["stragglers"]),
         ],
-        ids=["deadlock", "unmatched", "self-send", "bad-peer-deadlock"],
+        ids=["deadlock", "unmatched", "self-send", "bad-peer-deadlock",
+             "deadlock-stragglers", "unmatched-stragglers"],
     )
-    def test_executor_raises_like_the_event_loop(self, program, error):
+    def test_executor_raises_like_the_event_loop(self, program, error, spec):
         experiment = Experiment(program, procs=2)
         with pytest.raises(error) as event_loop:
-            run_experiment(MINICLUSTER, experiment)
+            run_experiment(spec, experiment)
         with pytest.raises(error) as executor:
-            replay(MINICLUSTER, experiment)
+            replay(spec, experiment)
         assert type(executor.value) is type(event_loop.value)
         assert str(executor.value) == str(event_loop.value)
 
@@ -195,8 +264,3 @@ class TestErrorParity:
             for _ in call(recorder):
                 pass
         assert str(recorded.value) == str(communicator.value)
-
-    def test_replay_refuses_noisy_specs(self):
-        experiment = Experiment(_deadlock, procs=2)
-        with pytest.raises(SimulationError, match="noise-free"):
-            replay(MINICLUSTER.with_noise(0.1), experiment)

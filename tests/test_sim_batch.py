@@ -4,9 +4,9 @@ The load-bearing properties:
 
 * the replay executor is **bit-for-bit identical** to the event-loop
   engine over the full calibration grid of every collective's pipeline,
-  flat and multi-level fabric alike, with no noise-free cell falling back;
-* noisy and faulted cells fall back to :func:`repro.exec.execute_job`
-  cleanly, still returning identical results, and say why;
+  flat and multi-level fabric alike;
+* noisy and faulted cells take the same executor, still returning
+  identical results, and only seed-free cells share a simulation;
 * the runner's batched prefetch is equivalent to the serial path and a
   warm persistent cache replays a batch with *zero* new simulations.
 """
@@ -16,15 +16,15 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.clusters import GRISOU, MINICLUSTER
+from repro.clusters import GRISOU, MINICLUSTER, seed_free
 from repro.estimation.alphabeta import (
     OPERATION_PROFILES,
     alphabeta_prefetch_jobs,
 )
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
 from repro.fabric import build_fabric
-from repro.faults.plan import FaultPlan, StragglerFault
-from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
+from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.sim.batch import BatchSimulator, dedupe_key
 from repro.units import KiB, MiB
 
 SIZES = (1 * KiB, 64 * KiB, 1 * MiB)
@@ -36,6 +36,18 @@ GRISOU_QUIET = GRISOU.with_noise(0.0)
 #: The 2:1 oversubscribed leaf-spine: shared-uplink reservations.
 MINICLUSTER_LEAF_SPINE = MINICLUSTER.with_fabric(
     build_fabric("leaf_spine_2to1", MINICLUSTER)
+)
+
+#: A straggler whose CPU slowdown (``compute_factor``) and injection
+#: slowdown both reach the simulated rank programs.
+STRAGGLER = FaultPlan(
+    stragglers=(StragglerFault(node=2, inject_factor=2.0, compute_factor=3.0),)
+)
+
+#: A link degraded for the first half of every 20 us.
+FLAPPING_LINK = FaultPlan(
+    links=(LinkFault(src=0, dst=1, byte_factor=4.0, period=20e-6,
+                     on_fraction=0.5),)
 )
 
 
@@ -65,9 +77,6 @@ class TestColumnarParity:
         want = [execute_job(job) for job in jobs]
         assert got == want  # bit-for-bit, not approx
         assert sim.stats.cells == len(jobs)
-        # Every cell of all eight collectives takes the replay executor —
-        # a silent fallback would pass parity while destroying the speedup.
-        assert sim.stats.event_loop == 0
         assert sim.stats.columnar == sim.stats.unique_cells
 
     def test_split_binary_takes_the_executor_and_matches(self):
@@ -78,7 +87,7 @@ class TestColumnarParity:
         ]
         sim = BatchSimulator()
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
-        assert sim.stats.event_loop == 0
+        assert sim.stats.columnar == 1
 
     def test_bcast_root_and_policy_variants(self):
         jobs = [
@@ -103,39 +112,45 @@ class TestColumnarParity:
         assert sim.stats.columnar == len(jobs)
 
     def test_noise_free_cells_are_seed_deduped(self):
-        jobs = [
-            SimJob(spec=MINICLUSTER, kind="bcast", procs=8,
-                   algorithm="binomial", nbytes=8 * KiB, seed=seed)
-            for seed in (0, 1, 2, 3)
-        ]
-        assert len({dedupe_key(job) for job in jobs}) == 1
-        sim = BatchSimulator()
-        results = sim.run(jobs)
-        assert len(set(results)) == 1
-        assert sim.stats.deduped == 3
-        assert sim.stats.unique_cells == 1
+        # Every seed-free platform shape: plain, a straggler, a flapping
+        # link, a disabled plan and slow nodes.
+        for spec in (
+            MINICLUSTER,
+            MINICLUSTER.with_faults(STRAGGLER),
+            MINICLUSTER.with_faults(FLAPPING_LINK),
+            MINICLUSTER.with_faults(FaultPlan()),
+            MINICLUSTER.with_slow_nodes({1: 3.0}),
+        ):
+            jobs = [
+                SimJob(spec=spec, kind="bcast", procs=8,
+                       algorithm="binomial", nbytes=8 * KiB, seed=seed)
+                for seed in (0, 1, 2, 3)
+            ]
+            assert seed_free(spec), spec
+            assert len({dedupe_key(job) for job in jobs}) == 1
+            sim = BatchSimulator()
+            results = sim.run(jobs)
+            assert results == [execute_job(job) for job in jobs], spec
+            assert sim.stats.deduped == 3
+            assert sim.stats.unique_cells == 1
 
 
-class TestFallback:
-    def test_noisy_spec_falls_back_and_matches(self):
+class TestNoisyAndFaultedCells:
+    def test_noisy_spec_replays_and_matches(self):
         spec = MINICLUSTER.with_noise(0.2)
         jobs = [
             SimJob(spec=spec, kind="bcast", procs=8, algorithm="binomial",
                    nbytes=8 * KiB, seed=seed)
             for seed in (0, 1)
         ]
-        assert not noise_free(spec)
+        assert not seed_free(spec)
         sim = BatchSimulator()
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
-        assert sim.stats.columnar == 0
-        assert sim.stats.event_loop == 2
+        assert sim.stats.columnar == len(jobs)
         assert sim.stats.deduped == 0  # noisy seeds are distinct results
 
-    def test_fault_plan_falls_back_and_matches(self):
-        spec = MINICLUSTER.with_faults(
-            FaultPlan(stragglers=(StragglerFault(node=2, inject_factor=2.0),))
-        )
-        assert not noise_free(spec)
+    def test_fault_plan_replays_and_matches(self):
+        spec = MINICLUSTER.with_faults(STRAGGLER)
         jobs = [
             SimJob(spec=spec, kind="reduce_then_scatter", procs=8,
                    algorithm="binomial", nbytes=16 * KiB,
@@ -143,16 +158,17 @@ class TestFallback:
         ]
         sim = BatchSimulator()
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
-        assert sim.stats.event_loop == 1
+        assert sim.stats.columnar == len(jobs)
 
-    def test_fallback_reasons_counted_and_traced(self):
-        faulted = MINICLUSTER.with_faults(
-            FaultPlan(stragglers=(StragglerFault(node=2, inject_factor=2.0),))
-        )
+    def test_batch_span_contract(self):
         jobs = [
             SimJob(spec=spec, kind="bcast", procs=8, algorithm="binomial",
                    nbytes=8 * KiB)
-            for spec in (MINICLUSTER.with_noise(0.2), faulted, MINICLUSTER)
+            for spec in (
+                MINICLUSTER.with_noise(0.2),
+                MINICLUSTER.with_faults(STRAGGLER),
+                MINICLUSTER,
+            )
         ]
         recorder = obs.enable()
         recorder.clear()
@@ -163,10 +179,7 @@ class TestFallback:
         finally:
             obs.disable()
             recorder.clear()
-        assert sim.stats.fallback_reasons == {"noise": 1, "faults": 1}
-        assert sim.stats.event_loop == 2 and sim.stats.columnar == 1
-        assert span.attributes["fallback_reasons"] == {"noise": 1, "faults": 1}
-        assert span.attributes["event_loop"] == 2
+        assert span.attributes == {"cells": 3, "unique_cells": 3, "columnar": 3}
 
 
 class TestRunnerIntegration:
