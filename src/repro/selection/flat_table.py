@@ -16,7 +16,8 @@ arrays —
 
 A lookup is then two ``bisect_right`` calls and two list indexes — no
 dict walks, no dataclass attribute access, no per-query allocation.
-:meth:`FlatDecisionTable.lookup` is bit-identical to
+:meth:`FlatDecisionTable.lookup`, and :meth:`FlatDecisionTable.cell`
+beneath it (what the selection server calls), is bit-identical to
 :meth:`DecisionTable.lookup` (same floor semantics, same below-grid
 clamp flag); ``tests/test_flat_table.py`` holds the differential
 property test across all eight collectives.
@@ -34,8 +35,8 @@ class FlatDecisionTable:
     """A decision grid compiled to flat parallel arrays.
 
     Attributes are public and immutable by convention — the serving layer
-    reads them directly (inlining the bisect into its own hot loop) and
-    must never mutate them.
+    indexes the per-cell arrays with :meth:`cell`'s answer and must never
+    mutate them.
     """
 
     __slots__ = (
@@ -107,44 +108,32 @@ class FlatDecisionTable:
             segment_sizes=tuple(segments),
         )
 
-    def cell_index(self, procs: int, nbytes: int) -> int:
-        """Row-major index of the floor cell for ``(procs, nbytes)``."""
+    def cell(self, procs: int, nbytes: int) -> tuple[int, bool]:
+        """Row-major index of the floor cell for ``(procs, nbytes)``,
+        plus the below-grid clamp flag.
+
+        The one floor/clamp rule of the serving layer: ``bisect_right - 1``
+        on each axis, floored at the first cell, clamped when either
+        coordinate lies below the grid.
+        """
         i = bisect_right(self.proc_points, procs) - 1
         if i < 0:
             i = 0
         j = bisect_right(self.size_points, nbytes) - 1
         if j < 0:
             j = 0
-        return i * self.n_sizes + j
+        return (
+            i * self.n_sizes + j,
+            procs < self.min_procs or nbytes < self.min_size,
+        )
 
     def lookup(self, procs: int, nbytes: int) -> tuple[str, int, bool]:
         """``(algorithm, segment_size, clamped)`` — the flat counterpart
         of :meth:`DecisionTable.lookup`, bit-identical by construction
         and by the differential test."""
-        k = self.cell_index(procs, nbytes)
+        k, clamped = self.cell(procs, nbytes)
         return (
             self.algorithms[self.algorithm_ids[k]],
             self.segment_sizes[k],
-            procs < self.min_procs or nbytes < self.min_size,
+            clamped,
         )
-
-    def lookup_many(
-        self, queries: "list[tuple[int, int]]"
-    ) -> "list[tuple[str, int, bool]]":
-        """Answer a batch of ``(procs, nbytes)`` pairs in one pass."""
-        cell_index = self.cell_index
-        algorithms = self.algorithms
-        ids = self.algorithm_ids
-        segments = self.segment_sizes
-        min_procs = self.min_procs
-        min_size = self.min_size
-        out = []
-        append = out.append
-        for procs, nbytes in queries:
-            k = cell_index(procs, nbytes)
-            append((
-                algorithms[ids[k]],
-                segments[k],
-                procs < min_procs or nbytes < min_size,
-            ))
-        return out

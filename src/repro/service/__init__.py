@@ -9,8 +9,9 @@ call site.  This package operationalises it in two steps:
   :func:`load_artifact` refuses anything corrupt or mismatched;
   :class:`ArtifactRegistry` manages a directory of them.
 * :mod:`repro.service.server` — :class:`SelectionService` answers
-  "(cluster, collective, P, m) → algorithm" queries through an LRU
-  cache; :class:`HttpServer` exposes it over stdlib-asyncio HTTP
+  "(cluster, collective, P, m) → algorithm" queries through one
+  decision function over flat tables, memoised in an LRU for single
+  queries; :class:`HttpServer` exposes it over stdlib-asyncio HTTP
   (``repro serve``) with Prometheus metrics
   (:class:`repro.service.metrics.ServiceMetrics`), graceful drain and
   hot reload.

@@ -3,15 +3,17 @@
 Three pieces, separable for testing:
 
 * :class:`SelectionService` — transport-independent query engine: input
-  validation, decision tables compiled to flat arrays with pre-rendered
-  response fragments (:class:`_CompiledOp`), an LRU cache on the
-  single-query path, metrics, and hot reload of the artifact registry;
+  validation, one decision function over each artifact's
+  :class:`~repro.selection.flat_table.FlatDecisionTable` with
+  pre-rendered response fragments (:class:`_CompiledOp`), one accounting
+  function for metrics and query sampling, an LRU memo of the decision
+  for single queries, and hot reload of the artifact registry;
 * :class:`HttpServer` — a stdlib-only asyncio HTTP/1.1 front end built
   on :class:`asyncio.Protocol` (no per-request task or coroutine: the
-  hot path is pure CPU, so a request is parsed, dispatched and written
-  inside ``data_received``), with keep-alive and pipelining, bounded
-  bodies, typed JSON error responses, an idle-watchdog read timeout and
-  graceful drain;
+  hot path is pure CPU, so a request is parsed, routed and answered
+  inside ``data_received`` by one handler), with keep-alive and
+  pipelining, bounded bodies, typed JSON error responses, an
+  idle-watchdog read timeout and graceful drain;
 * :class:`ServiceThread` — runs an :class:`HttpServer` on a private
   event loop in a background thread, for tests and the load harness.
 
@@ -27,9 +29,9 @@ GET       /metrics      Prometheus text format
 POST      /reload       rescan the artifact directory (also ``SIGHUP``)
 ========  ============  =================================================
 
-The hot path is bisect over flat parallel arrays plus pre-rendered JSON
-fragments — no simulation, no model evaluation, no per-query dict walks
-— so a query costs single-digit microseconds; the load harness
+The hot path is two bisects over flat parallel arrays plus pre-rendered
+JSON fragments — no simulation, no model evaluation, no per-query dict
+walks — so a query costs single-digit microseconds; the load harness
 (``benchmarks/run_service_bench.py``) asserts p99 latency and that served
 selections are bit-identical to offline ``DecisionTable.select``.  For
 multi-core machines, :mod:`repro.service.shard` runs several processes
@@ -46,7 +48,6 @@ import signal
 import socket
 import threading
 import time
-from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
 
@@ -154,18 +155,14 @@ class _CompiledOp:
     Everything that does not depend on ``(procs, nbytes)`` is rendered
     once per artifact load: a JSON *prefix* (cluster + operation), a
     per-grid-cell JSON *suffix* in plain and clamped variants (algorithm,
-    segment size, artifact id, fabric, clamp marker), the result dict
-    each cell corresponds to, and the precomputed metric label keys.
-    Answering a query is then two bisects, one ``%``-format for the two
-    integers, and one bytes concatenation.
+    segment size, artifact id, fabric, clamp marker), and the
+    precomputed metric label keys.  The grid stays in the artifact's
+    flat table (``flat``), whose :meth:`FlatDecisionTable.cell` is the
+    one floor/clamp rule; answering a query is that cell, one
+    ``%``-format for the two integers, and one bytes concatenation.
     """
 
-    __slots__ = (
-        "cluster", "operation", "fabric",
-        "proc_points", "size_points", "n_sizes", "min_procs", "min_size",
-        "algorithm_ids", "segment_sizes", "algorithms",
-        "prefix", "suffixes", "cell_results", "sel_keys", "clamp_key",
-    )
+    __slots__ = ("flat", "prefix", "suffixes", "sel_keys", "clamp_key")
 
     #: The two query integers are the only per-request variance in a
     #: result object; everything around them is pre-rendered.
@@ -179,17 +176,7 @@ class _CompiledOp:
         artifact: SelectionArtifact,
     ):
         flat = artifact.flat_tables()[operation]
-        self.cluster = cluster
-        self.operation = operation
-        self.fabric = fabric
-        self.proc_points = flat.proc_points
-        self.size_points = flat.size_points
-        self.n_sizes = flat.n_sizes
-        self.min_procs = flat.min_procs
-        self.min_size = flat.min_size
-        self.algorithm_ids = flat.algorithm_ids
-        self.segment_sizes = flat.segment_sizes
-        self.algorithms = flat.algorithms
+        self.flat = flat
         self.prefix = (
             '{"cluster":%s,"operation":%s,'
             % (json.dumps(cluster), json.dumps(operation))
@@ -197,7 +184,6 @@ class _CompiledOp:
         artifact_json = json.dumps(artifact.artifact_id)
         fabric_tail = ',"fabric":%s' % json.dumps(fabric) if fabric else ""
         suffixes = []
-        cell_results = []
         sel_keys = []
         for algorithm_id, segment in zip(flat.algorithm_ids, flat.segment_sizes):
             algorithm = flat.algorithms[algorithm_id]
@@ -210,58 +196,21 @@ class _CompiledOp:
                 (text.encode("utf-8"),
                  (text + ',"clamped":true').encode("utf-8"))
             )
-            base = {
-                "algorithm": algorithm,
-                "segment_size": segment,
-                "artifact": artifact.artifact_id,
-            }
-            if fabric:
-                base["fabric"] = fabric
-            cell_results.append(base)
             # The exact key Counter.inc(operation=..., algorithm=...)
             # would build (label pairs sorted by name).
             sel_keys.append((("algorithm", algorithm), ("operation", operation)))
         self.suffixes = suffixes
-        self.cell_results = cell_results
         self.sel_keys = sel_keys
         self.clamp_key = (("operation", operation),)
 
-    def cell(self, procs: int, nbytes: int) -> tuple[int, bool]:
-        """Row-major floor-cell index plus the below-grid clamp flag.
-
-        Bit-identical to :meth:`DecisionTable.lookup` by construction
-        (same ``bisect_right - 1`` floor, same clamp condition); the
-        differential test in ``tests/test_flat_table.py`` holds the line.
-        """
-        i = bisect_right(self.proc_points, procs) - 1
-        if i < 0:
-            i = 0
-        j = bisect_right(self.size_points, nbytes) - 1
-        if j < 0:
-            j = 0
-        return (
-            i * self.n_sizes + j,
-            procs < self.min_procs or nbytes < self.min_size,
-        )
-
-
-class _CachedAnswer:
-    """What the LRU stores per query key: the pre-rendered JSON fragment
-    (everything but the closing brace and the per-request trace id), the
-    result dict (handed out only as copies — a response-path annotation
-    must never mutate cached state), and precomputed metric keys."""
-
-    __slots__ = ("fragment", "result", "sel_key", "clamp_key")
-
-    def __init__(self, fragment, result, sel_key, clamp_key):
-        self.fragment = fragment
-        self.result = result
-        self.sel_key = sel_key
-        self.clamp_key = clamp_key
-
 
 class SelectionService:
-    """Answers "(cluster, collective, P, m) → algorithm" queries."""
+    """Answers "(cluster, collective, P, m) → algorithm" queries.
+
+    Every query, single or batched, is validated into a key, decided by
+    :meth:`_decide` and counted by :meth:`_account`; the LRU memoises
+    :meth:`_decide` for single queries only.
+    """
 
     def __init__(
         self,
@@ -392,157 +341,64 @@ class SelectionService:
             self._compiled[key] = op
         return op
 
-    def _emit_sample(self, result: dict) -> None:
-        # Forced span: exists (and runs the recorder's finish hooks,
-        # where the sampler listens) even while tracing is off.  The
-        # span carries the full served decision so the self-tuning
-        # loop can replay it against a measured oracle later, off the
-        # request path.
-        with obs.span(
-            "select.query",
-            force=True,
-            cluster=result["cluster"],
-            operation=result["operation"],
-            fabric=result.get("fabric", ""),
-            procs=result["procs"],
-            nbytes=result["nbytes"],
-            algorithm=result["algorithm"],
-            segment_size=result["segment_size"],
-        ):
-            pass
+    def _decide(self, key: tuple) -> tuple:
+        """The answer to one validated query key, counting nothing:
+        ``(fragment, op, k, clamped)`` — the pre-rendered JSON fragment
+        (everything but the trace id and the closing brace), the
+        compiled table, the row-major grid cell and the below-grid flag.
+        Raises the typed 404 for an unknown (cluster, fabric, operation).
+        """
+        cluster, operation, fabric, procs, nbytes = key
+        op = self._compiled_for(cluster, operation, fabric)
+        k, clamped = op.flat.cell(procs, nbytes)
+        fragment = (
+            op.prefix + _CompiledOp.MID % (procs, nbytes)
+            + op.suffixes[k][clamped]
+        )
+        return fragment, op, k, clamped
 
-    def _answer(self, query, index: int | None = None) -> _CachedAnswer:
-        """The single-query (LRU-cached) path; callers must have run
-        :meth:`check_generation` this request."""
-        key = self._validate(query, index)
+    def _account(self, key: tuple, answer: tuple) -> None:
+        """Count one answered query and offer it to the query sampler."""
+        _fragment, op, k, clamped = answer
         metrics = self.metrics
-        metrics.queries.inc_key(_NO_LABELS)
-        entry = self.cache.get(key)
-        if entry is not None:
-            metrics.cache_hits.inc_key(_NO_LABELS)
-        else:
-            metrics.cache_misses.inc_key(_NO_LABELS)
-            cluster, operation, fabric, procs, nbytes = key
-            op = self._compiled_for(cluster, operation, fabric)
-            k, clamped = op.cell(procs, nbytes)
-            fragment = (
-                op.prefix + _CompiledOp.MID % (procs, nbytes)
-                + op.suffixes[k][clamped]
-            )
-            result = {
-                "cluster": cluster,
-                "operation": operation,
-                "procs": procs,
-                "nbytes": nbytes,
-            }
-            result.update(op.cell_results[k])
-            if clamped:
-                # Below-grid queries clamp to the first grid cell; say so
-                # instead of presenting the extrapolation as a grid answer.
-                result["clamped"] = True
-            entry = _CachedAnswer(
-                fragment, result, op.sel_keys[k],
-                op.clamp_key if clamped else None,
-            )
-            self.cache.put(key, entry)
-        if entry.clamp_key is not None:
-            metrics.clamped.inc_key(entry.clamp_key)
-        metrics.selections.inc_key(entry.sel_key)
+        metrics.selections.inc_key(op.sel_keys[k])
+        if clamped:
+            metrics.clamped.inc_key(op.clamp_key)
         sampler = self.sampler
         if sampler is not None and sampler.should_sample():
-            self._emit_sample(entry.result)
-        return entry
-
-    def select_one(self, query, index: int | None = None) -> dict:
-        """Validate and answer a single query (LRU-cached).
-
-        Returns a *fresh* dict every call: the cached answer stays
-        private to the cache, so no response-path annotation (trace ids,
-        client-side mutation) can ever corrupt cached state.
-        """
-        self.check_generation()
-        return dict(self._answer(query, index).result)
-
-    def _batch_fragments(self, queries: list) -> list[bytes]:
-        """Answer a batch as pre-rendered JSON fragments, one pass.
-
-        This is the vectorized path: no LRU probes, no result dicts —
-        per query it is validation, two bisects into the flat arrays and
-        one bytes concatenation.  The compiled table is re-resolved only
-        when the (cluster, fabric, operation) triple changes between
-        consecutive queries, which for real batches is almost never.
-        """
-        metrics = self.metrics
-        selections_inc = metrics.selections.inc_key
-        clamped_counter = metrics.clamped
-        sampler = self.sampler
-        validate = self._validate
-        bisect = bisect_right
-        mid = _CompiledOp.MID
-        fragments: list[bytes] = []
-        append = fragments.append
-        last_triple = None
-        op = None
-        # Rebound whenever the (cluster, fabric, operation) triple
-        # changes; hoisted out of the per-query work because real
-        # batches almost never switch tables mid-batch.
-        proc_points = size_points = suffixes = sel_keys = None
-        n_sizes = min_procs = min_size = 0
-        prefix = b""
-        clamp_key: tuple = ()
-        for index, query in enumerate(queries):
-            cluster, operation, fabric, procs, nbytes = validate(query, index)
-            triple = (cluster, fabric, operation)
-            if triple != last_triple:
-                op = self._compiled_for(cluster, operation, fabric)
-                last_triple = triple
-                proc_points = op.proc_points
-                size_points = op.size_points
-                n_sizes = op.n_sizes
-                min_procs = op.min_procs
-                min_size = op.min_size
-                prefix = op.prefix
-                suffixes = op.suffixes
-                sel_keys = op.sel_keys
-                clamp_key = op.clamp_key
-            # _CompiledOp.cell, inlined: the call and result-tuple
-            # overhead is measurable at 10^5 queries/s.
-            i = bisect(proc_points, procs) - 1
-            if i < 0:
-                i = 0
-            j = bisect(size_points, nbytes) - 1
-            if j < 0:
-                j = 0
-            k = i * n_sizes + j
-            clamped = procs < min_procs or nbytes < min_size
-            append(prefix + mid % (procs, nbytes) + suffixes[k][clamped])
-            selections_inc(sel_keys[k])
-            if clamped:
-                clamped_counter.inc_key(clamp_key)
-            if sampler is not None and sampler.should_sample():
-                self._emit_sample({
-                    "cluster": cluster,
-                    "operation": operation,
-                    "fabric": fabric,
-                    "procs": procs,
-                    "nbytes": nbytes,
-                    "algorithm": op.algorithms[op.algorithm_ids[k]],
-                    "segment_size": op.segment_sizes[k],
-                })
-        metrics.queries.inc(float(len(fragments)))
-        metrics.batch_queries.inc(float(len(fragments)))
-        return fragments
+            # Forced span: exists (and runs the recorder's finish hooks,
+            # where the sampler listens) even while tracing is off.  The
+            # span carries the full served decision so the self-tuning
+            # loop can replay it against a measured oracle later, off the
+            # request path.
+            cluster, operation, fabric, procs, nbytes = key
+            flat = op.flat
+            with obs.span(
+                "select.query",
+                force=True,
+                cluster=cluster,
+                operation=operation,
+                fabric=fabric,
+                procs=procs,
+                nbytes=nbytes,
+                algorithm=flat.algorithms[flat.algorithm_ids[k]],
+                segment_size=flat.segment_sizes[k],
+            ):
+                pass
 
     def select_body(self, payload, trace_id: str) -> bytes:
         """Render the complete ``POST /select`` 200 response body.
 
-        The HTTP fast path: single queries splice the per-request trace
-        id onto the (possibly cached) fragment; batches assemble
-        ``{"results": [...]}`` with one ``bytes.join`` over the flat-path
-        fragments.  Raises :class:`RequestError` for client errors.
+        One query object or ``{"queries": [...]}``: each query is
+        validated, decided and accounted in order, and its fragment gets
+        the per-request trace id (a batch joins them into
+        ``{"results": [...]}``).  Single queries memoise the decision in
+        the LRU; batched ones never touch it.  Raises
+        :class:`RequestError` for client errors.
         """
         self.check_generation()
         tail = b'"trace_id":"' + trace_id.encode("ascii") + b'"}'
+        metrics = self.metrics
         if isinstance(payload, dict) and "queries" in payload:
             queries = payload["queries"]
             if not isinstance(queries, list):
@@ -554,39 +410,32 @@ class SelectionService:
                     400, "batch_too_large",
                     f"batch of {len(queries)} exceeds the limit of {MAX_BATCH}",
                 )
-            fragments = self._batch_fragments(queries)
+            fragments = []
+            for index, query in enumerate(queries):
+                key = self._validate(query, index)
+                answer = self._decide(key)
+                self._account(key, answer)
+                fragments.append(answer[0])
+            # Counted once the whole batch is answered: a batch refused
+            # at query #i counts its first i selections but no queries.
+            metrics.queries.inc(float(len(fragments)))
+            metrics.batch_queries.inc(float(len(fragments)))
             if not fragments:
                 return b'{"results":[],' + tail
             return (
                 b'{"results":[' + b"},".join(fragments) + b'}],' + tail
             )
-        return self._answer(payload).fragment + b"," + tail
-
-    def handle_select(self, payload) -> dict:
-        """The ``POST /select`` body: one query or ``{"queries": [...]}``.
-
-        The dict-level API (tests, embedding); every returned result is a
-        fresh copy, never a cache-owned object.
-        """
-        self.check_generation()
-        if isinstance(payload, dict) and "queries" in payload:
-            queries = payload["queries"]
-            if not isinstance(queries, list):
-                raise RequestError(
-                    400, "validation", "'queries' must be a JSON array"
-                )
-            if len(queries) > MAX_BATCH:
-                raise RequestError(
-                    400, "batch_too_large",
-                    f"batch of {len(queries)} exceeds the limit of {MAX_BATCH}",
-                )
-            return {
-                "results": [
-                    dict(self._answer(query, index).result)
-                    for index, query in enumerate(queries)
-                ]
-            }
-        return dict(self._answer(payload).result)
+        key = self._validate(payload)
+        metrics.queries.inc_key(_NO_LABELS)
+        answer = self.cache.get(key)
+        if answer is None:
+            metrics.cache_misses.inc_key(_NO_LABELS)
+            answer = self._decide(key)
+            self.cache.put(key, answer)
+        else:
+            metrics.cache_hits.inc_key(_NO_LABELS)
+        self._account(key, answer)
+        return answer[0] + b"," + tail
 
 
 # -- HTTP front end ----------------------------------------------------------
@@ -626,6 +475,29 @@ def _head_template(
         ).encode("latin1")
         _HEAD_TEMPLATES[key] = template
     return template
+
+
+_JSON = "application/json"
+
+
+def _field_values(headers: bytes, name: bytes) -> list[bytes]:
+    """The stripped value of every ``name`` field in a lowercased head.
+
+    ``name`` starts with CRLF (``b"\\r\\ncontent-length:"``) and
+    ``headers`` with the CRLF that ends the request line, so a match is
+    always a field name at a line start, never part of another field's
+    name (``X-Content-Length``) or value.
+    """
+    values = []
+    at = headers.find(name)
+    while at >= 0:
+        start = at + len(name)
+        stop = headers.find(b"\r\n", start)
+        if stop < 0:
+            stop = len(headers)
+        values.append(headers[start:stop].strip())
+        at = headers.find(name, stop)
+    return values
 
 
 class _HttpProtocol(asyncio.Protocol):
@@ -736,28 +608,35 @@ class _HttpProtocol(asyncio.Protocol):
                 )))
                 close = True
                 break
+            # Starts with the CRLF that ends the request line, so every
+            # field name is searched for at a line start.
             headers_blob = head[line_end:].lower()
             length = 0
             error: RequestError | None = None
-            marker = headers_blob.find(b"content-length:")
-            if marker >= 0:
-                stop = headers_blob.find(b"\r\n", marker)
-                if stop < 0:
-                    stop = len(headers_blob)
-                raw = headers_blob[marker + 15:stop].strip()
-                if raw:
-                    try:
-                        length = int(raw.decode("latin1"))
-                    except ValueError:
-                        # Previously this fell into a broad ValueError
-                        # handler and silently dropped the connection;
-                        # a malformed header deserves a typed 400.
-                        error = RequestError(
-                            400, "bad_request",
-                            "malformed Content-Length header: "
-                            f"{raw.decode('latin1')!r}",
-                        )
-                    if error is None and length < 0:
+            lengths = _field_values(headers_blob, b"\r\ncontent-length:")
+            if len(set(lengths)) > 1:
+                # RFC 9112 §6.3: differing lengths make framing unknowable.
+                error = RequestError(
+                    400, "bad_request",
+                    "conflicting Content-Length headers: "
+                    + ", ".join(raw.decode("latin1") for raw in lengths),
+                )
+            elif lengths:
+                raw = lengths[0]
+                try:
+                    # 1*DIGIT (RFC 9110 §8.6): int() alone would also take
+                    # "+5" or "1_0".  It raises past its digit limit too.
+                    if not raw.lstrip(b"-").isdigit():
+                        raise ValueError(raw)
+                    length = int(raw)
+                except ValueError:
+                    error = RequestError(
+                        400, "bad_request",
+                        "malformed Content-Length header: "
+                        f"{raw.decode('latin1')!r}",
+                    )
+                else:
+                    if length < 0:
                         error = RequestError(
                             400, "bad_request",
                             f"negative Content-Length: {length}",
@@ -781,9 +660,8 @@ class _HttpProtocol(asyncio.Protocol):
             del buf[:total]
             method = parts[0].decode("latin1")
             path = parts[1].decode("latin1").split("?", 1)[0]
-            keep_alive = (
-                b"connection: close" not in headers_blob
-                and b"connection:close" not in headers_blob
+            keep_alive = b"close" not in _field_values(
+                headers_blob, b"\r\nconnection:"
             )
             out.append(self._handle(method, path, body, keep_alive))
             if not keep_alive:
@@ -801,72 +679,108 @@ class _HttpProtocol(asyncio.Protocol):
             endpoint="(read)", status=str(error.status)
         )
         body = json.dumps(error.body()).encode("utf-8")
-        head = _head_template(error.status, "application/json", False, False)
+        head = _head_template(error.status, _JSON, False, False)
         return head % (len(body),) + body
 
-    # -- dispatch + response ------------------------------------------------
+    # -- routing + response -------------------------------------------------
 
-    def _respond(
+    def _route(
         self, method: str, path: str, body: bytes, trace_id: str
     ) -> "tuple[int, bytes, str]":
-        """Dispatch one parsed request; shared by both timing paths."""
-        server = self.server
-        service = server.service
-        content_type = "application/json"
-        if path == "/select" and method == "POST":
-            try:
+        """Answer one parsed request: ``(status, body, content_type)``.
+
+        Errors become typed JSON bodies; on ``/select`` they carry the
+        request's trace id, like its answers.
+        """
+        service = self.server.service
+        try:
+            if path == "/select":
+                if method != "POST":
+                    raise RequestError(
+                        405, "method_not_allowed",
+                        f"{method} not allowed on {path}",
+                    )
                 try:
                     payload = json.loads(body.decode("utf-8") or "null")
                 except (json.JSONDecodeError, UnicodeDecodeError) as error:
                     raise RequestError(
-                        400, "bad_json",
-                        f"request body is not JSON: {error}",
+                        400, "bad_json", f"request body is not JSON: {error}"
                     ) from None
-                status = 200
-                response = service.select_body(payload, trace_id)
-            except RequestError as error:
-                status = error.status
-                response = json.dumps(
-                    dict(error.body(), trace_id=trace_id)
-                ).encode("utf-8")
-            except Exception as error:  # never hang the socket
-                status = 500
-                response = json.dumps({
-                    "error": {"code": "internal", "message": str(error)},
-                    "trace_id": trace_id,
-                }).encode("utf-8")
-        else:
-            status, payload, content_type = server._dispatch(
-                method, path, body
-            )
-            if path == "/select" and isinstance(payload, dict):
-                payload = dict(payload, trace_id=trace_id)
-            response = (
-                payload.encode("utf-8")
-                if isinstance(payload, str)
-                else json.dumps(payload).encode("utf-8")
-            )
-        return status, response, content_type
+                return 200, service.select_body(payload, trace_id), _JSON
+            if path == "/metrics" and method == "GET":
+                return (
+                    200, service.metrics.render().encode("utf-8"),
+                    "text/plain; version=0.0.4",
+                )
+            if path == "/healthz" and method == "GET":
+                # The healthy shape is frozen ({"status": "ok", ...});
+                # degraded adds a reason so probes can alert on it.
+                result = {"status": "ok", "artifacts": len(service.registry)}
+                if service.degraded_reason is not None:
+                    result["status"] = "degraded"
+                    result["reason"] = service.degraded_reason
+                if service.tuner is not None:
+                    # Present only when a SelfTuner is attached — the
+                    # healthy shape without one stays frozen.
+                    result["tuning"] = service.tuner.health()
+            elif path == "/artifacts" and method == "GET":
+                result = {
+                    "artifacts": service.registry.summaries(),
+                    "errors": dict(service.registry.errors),
+                }
+            elif path == "/reload" and method == "POST":
+                # reload() never raises — a failed rescan flips the
+                # service into degraded mode and keeps serving.
+                result = service.reload()
+            elif path in ("/reload", "/metrics", "/healthz", "/artifacts"):
+                raise RequestError(
+                    405, "method_not_allowed", f"{method} not allowed on {path}"
+                )
+            else:
+                raise RequestError(
+                    404, "not_found", f"no such endpoint: {path}"
+                )
+            return 200, json.dumps(result).encode("utf-8"), _JSON
+        except RequestError as error:
+            status, result = error.status, error.body()
+        except Exception as error:  # never leak a traceback as a hung socket
+            status = 500
+            result = {"error": {"code": "internal", "message": str(error)}}
+        if path == "/select":
+            result["trace_id"] = trace_id
+        return status, json.dumps(result).encode("utf-8"), _JSON
 
     def _handle(self, method: str, path: str, body: bytes,
                 keep_alive: bool) -> bytes:
         server = self.server
         service = server.service
         recorder = obs.get_recorder()
-        # A forced span only has observable effects when someone is
-        # listening: the recorder retains it, a finish hook (e.g. a
-        # span-to-metrics bridge) runs on it, or the query sampler nests
-        # ``select.query`` spans under it.  When none of those hold, the
-        # span is pure per-request overhead (~3µs), so time the request
-        # by hand with the same clock and trace-id source instead.
+        # The timer and trace-id source.  A forced ``http.request`` span
+        # has observable effects only when someone is listening: the
+        # recorder retains it, a finish hook (e.g. a span-to-metrics
+        # bridge) runs on it, or the query sampler nests ``select.query``
+        # spans under it.  Otherwise the span is pure per-request
+        # overhead, so time the request by hand with the same clock and
+        # trace-id source instead.
         if recorder.enabled or recorder._hooks or service.sampler is not None:
-            return self._handle_traced(method, path, body, keep_alive)
-        start = time.perf_counter()
-        trace_id = obs.new_trace_id()
-        status, response, content_type = self._respond(
-            method, path, body, trace_id
-        )
-        duration = time.perf_counter() - start
+            with obs.span(
+                "http.request", force=True, method=method, endpoint=path
+            ) as span:
+                trace_id = span.trace_id
+                status, response, content_type = self._route(
+                    method, path, body, trace_id
+                )
+                span.set_attr("status", status)
+            duration = span.duration
+        else:
+            start = time.perf_counter()
+            trace_id = obs.new_trace_id()
+            status, response, content_type = self._route(
+                method, path, body, trace_id
+            )
+            duration = time.perf_counter() - start
+        # observe_request_span, inlined: the label key is fetched from a
+        # bounded cache instead of being sorted per request.
         metrics = service.metrics
         metrics.request_seconds.observe(duration)
         metrics.requests.inc_key(_request_key(path, status))
@@ -877,35 +791,6 @@ class _HttpProtocol(asyncio.Protocol):
             )
         head = _head_template(status, content_type, keep_alive, True)
         return head % (len(response), trace_id.encode("ascii")) + response
-
-    def _handle_traced(self, method: str, path: str, body: bytes,
-                       keep_alive: bool) -> bytes:
-        server = self.server
-        service = server.service
-        # The span is the request's timer and trace-id source — forced,
-        # so it exists even while tracing is off.  Its duration feeds the
-        # latency histogram through the span-to-metrics bridge; there is
-        # no second clock.
-        with obs.span(
-            "http.request", force=True, method=method, endpoint=path
-        ) as span:
-            status, response, content_type = self._respond(
-                method, path, body, span.trace_id
-            )
-            span.set_attr("status", status)
-        metrics = service.metrics
-        # Inlined observe_request_span: the span stays the single timing
-        # source, but the label key is fetched from a bounded cache
-        # instead of being sorted per request.
-        metrics.request_seconds.observe(span.duration)
-        metrics.requests.inc_key(_request_key(path, status))
-        if span.duration >= server.slow_request_seconds:
-            _logger.warning(
-                "slow request: %s %s -> %d in %.3fs (trace %s)",
-                method, path, status, span.duration, span.trace_id,
-            )
-        head = _head_template(status, content_type, keep_alive, True)
-        return head % (len(response), span.trace_id.encode("ascii")) + response
 
 
 class HttpServer:
@@ -988,82 +873,6 @@ class HttpServer:
                 connection.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
-
-    def _dispatch(self, method: str, path: str, body: bytes):
-        """Route one request; returns ``(status, payload, content_type)``."""
-        try:
-            if path == "/metrics" and method == "GET":
-                return 200, self.service.metrics.render(), "text/plain; version=0.0.4"
-            if path == "/healthz" and method == "GET":
-                # The healthy shape is frozen ({"status": "ok", ...});
-                # degraded adds a reason so probes can alert on it.
-                health = {
-                    "status": "ok",
-                    "artifacts": len(self.service.registry),
-                }
-                if self.service.degraded_reason is not None:
-                    health["status"] = "degraded"
-                    health["reason"] = self.service.degraded_reason
-                if self.service.tuner is not None:
-                    # Present only when a SelfTuner is attached — the
-                    # healthy shape without one stays frozen.
-                    health["tuning"] = self.service.tuner.health()
-                return 200, health, "application/json"
-            if path == "/artifacts" and method == "GET":
-                return (
-                    200,
-                    {
-                        "artifacts": self.service.registry.summaries(),
-                        "errors": dict(self.service.registry.errors),
-                    },
-                    "application/json",
-                )
-            if path == "/select" and method == "POST":
-                # Normally answered on the protocol fast path; kept for
-                # completeness (direct _dispatch callers, tests).
-                try:
-                    payload = json.loads(body.decode("utf-8") or "null")
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise RequestError(
-                        400, "bad_json", f"request body is not JSON: {error}"
-                    ) from None
-                return 200, self.service.handle_select(payload), "application/json"
-            if path == "/reload" and method == "POST":
-                # reload() never raises — a failed rescan flips the
-                # service into degraded mode and keeps serving.
-                return 200, self.service.reload(), "application/json"
-            if path in ("/select", "/reload", "/metrics", "/healthz", "/artifacts"):
-                raise RequestError(
-                    405, "method_not_allowed", f"{method} not allowed on {path}"
-                )
-            raise RequestError(404, "not_found", f"no such endpoint: {path}")
-        except RequestError as error:
-            return error.status, error.body(), "application/json"
-        except Exception as error:  # never leak a traceback as a hung socket
-            return (
-                500,
-                {"error": {"code": "internal", "message": str(error)}},
-                "application/json",
-            )
-
-    @staticmethod
-    def _render(
-        status,
-        payload,
-        content_type: str,
-        keep_alive: bool,
-        trace_id: str | None = None,
-    ) -> bytes:
-        """Assemble one full response (kept for embedders and tests)."""
-        body = (
-            payload.encode("utf-8")
-            if isinstance(payload, str)
-            else json.dumps(payload).encode("utf-8")
-        )
-        head = _head_template(status, content_type, keep_alive, trace_id is not None)
-        if trace_id is not None:
-            return head % (len(body), trace_id.encode("ascii")) + body
-        return head % (len(body),) + body
 
 
 async def _serve_async(service: SelectionService, host: str, port: int) -> int:

@@ -102,15 +102,6 @@ class TestDifferential:
                     clamped,
                 ), (operation, round_index, procs, nbytes)
 
-    def test_lookup_many_matches_lookup(self):
-        rng = random.Random(99)
-        table = random_table("bcast", rng)
-        flat = FlatDecisionTable.from_table(table)
-        queries = fuzz_queries(table, rng, 500)
-        assert flat.lookup_many(queries) == [
-            flat.lookup(procs, nbytes) for procs, nbytes in queries
-        ]
-
 
 class TestCompilation:
     def test_from_table_deduplicates_algorithms(self):

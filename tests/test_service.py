@@ -15,6 +15,7 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro import obs
 from repro.clusters import MINICLUSTER
 from repro.errors import ArtifactError
 from repro.selection.codegen import compile_python
@@ -638,45 +639,6 @@ class TestMalformedContentLength:
             )
 
 
-class TestCacheAliasing:
-    """Bugfix: ``handle_select`` must hand out fresh dicts — the batched
-    path used to embed the LRU cache's own entries, so a caller mutating
-    its response corrupted every later answer for that query."""
-
-    @pytest.fixture()
-    def service(self, artifact):
-        registry = ArtifactRegistry()
-        registry.add(artifact)
-        return SelectionService(registry, cache_size=64)
-
-    def test_single_result_mutation_does_not_poison_cache(self, service):
-        query = dict(QUERY, operation="bcast")
-        first = service.handle_select(dict(query))
-        algorithm = first["algorithm"]
-        segment = first["segment_size"]
-        first["algorithm"] = "poisoned"
-        first["segment_size"] = -1
-        second = service.handle_select(dict(query))
-        assert second["algorithm"] == algorithm
-        assert second["segment_size"] == segment
-
-    def test_batch_results_are_fresh_copies(self, service):
-        query = dict(QUERY, operation="bcast")
-        batch = {"queries": [dict(query), dict(query)]}
-        results = service.handle_select(batch)["results"]
-        algorithm = results[0]["algorithm"]
-        assert results[0] is not results[1]
-        results[0]["algorithm"] = "poisoned"
-        results[1]["segment_size"] = -1
-        # Neither the single path (warm LRU) nor a repeat batch sees it.
-        assert service.handle_select(dict(query))["algorithm"] == algorithm
-        again = service.handle_select(
-            {"queries": [dict(query)]}
-        )["results"][0]
-        assert again["algorithm"] == algorithm
-        assert again["segment_size"] != -1
-
-
 class TestRegistrySwapInvalidation:
     """Bugfix audit: any registry mutation must invalidate warm LRU
     entries even when nobody calls ``service.reload()`` — the registry
@@ -690,7 +652,7 @@ class TestRegistrySwapInvalidation:
         registry = ArtifactRegistry(tmp_path)
         service = SelectionService(registry, cache_size=64)
         query = dict(QUERY, operation="bcast")
-        warm = service.handle_select(dict(query))
+        warm = json.loads(service.select_body(dict(query), "t"))
         assert warm["artifact"] == artifact.artifact_id
         # Swap the directory contents and rescan the registry directly,
         # bypassing service.reload() — the served answer must still
@@ -705,9 +667,142 @@ class TestRegistrySwapInvalidation:
         old.unlink()
         coarse.save(tmp_path / "b.json")
         registry.rescan()
-        served = service.handle_select(dict(query))
+        served = json.loads(service.select_body(dict(query), "t"))
         assert served["artifact"] == coarse.artifact_id
-        batch = service.handle_select(
-            {"queries": [dict(query)]}
-        )["results"][0]
+        batch = json.loads(service.select_body(
+            {"queries": [dict(query)]}, "t"
+        ))["results"][0]
         assert batch["artifact"] == coarse.artifact_id
+
+
+EIGHT_OPERATIONS = (
+    "allgather", "allreduce", "alltoall", "barrier",
+    "bcast", "gather", "reduce", "scatter",
+)
+LEAF_SPINE = "leaf_spine_2to1"
+
+
+@pytest.fixture(scope="module")
+def eight_collective_registry():
+    """Flat and leaf-spine eight-collective artifacts of one cluster."""
+    from repro.fabric import build_fabric
+
+    knobs = dict(
+        collectives=EIGHT_OPERATIONS,
+        proc_points=(2, 4, 6, 8),
+        size_points=(1 * KiB, 8 * KiB, 64 * KiB, 512 * KiB),
+        procs=6,
+        gamma_max_procs=4,
+        sizes=(8 * KiB, 64 * KiB),
+        max_reps=3,
+    )
+    registry = ArtifactRegistry()
+    registry.add(build_artifact(MINICLUSTER, **knobs), "flat")
+    leaf_spine = MINICLUSTER.with_fabric(build_fabric(LEAF_SPINE, MINICLUSTER))
+    registry.add(build_artifact(leaf_spine, **knobs), "leaf_spine")
+    return registry
+
+
+def random_queries(registry, seed: int, count: int = 400) -> list[dict]:
+    """On-grid, off-grid, below-grid, P=1 and m=0 queries over every
+    collective on both fabrics."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        fabric = rng.choice(("", LEAF_SPINE))
+        operation = rng.choice(EIGHT_OPERATIONS)
+        table = registry.lookup(
+            "minicluster", operation, fabric
+        ).entries[operation].table
+        procs_points, size_points = table.proc_points, table.size_points
+        roll = rng.random()
+        if roll < 0.3:
+            procs, nbytes = rng.choice(procs_points), rng.choice(size_points)
+        elif roll < 0.6:
+            procs = rng.randint(procs_points[0], 2 * procs_points[-1])
+            nbytes = rng.randint(size_points[0], 2 * size_points[-1] + 1)
+        elif roll < 0.8:
+            procs = rng.randint(1, procs_points[0])
+            nbytes = rng.randint(0, size_points[0])
+        else:
+            procs, nbytes = rng.choice((
+                (1, 0), (1, rng.choice(size_points)),
+                (rng.choice(procs_points), 0),
+            ))
+        query = {"cluster": "minicluster", "operation": operation,
+                 "procs": procs, "nbytes": nbytes}
+        if fabric or rng.random() < 0.3:
+            query["fabric"] = fabric
+        queries.append(query)
+    return queries
+
+
+class TestSingleAndBatchAgree:
+    """Differential: a single query, answered on an LRU miss or hit, and
+    the same query inside a batch give the same bytes, count the same
+    selections and sample the same spans."""
+
+    TAIL = b',"trace_id":"t"}'
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_answers_equal_the_batch(
+        self, eight_collective_registry, seed
+    ):
+        service = SelectionService(eight_collective_registry)
+        queries = random_queries(eight_collective_registry, seed)
+        distinct = {
+            json.dumps(dict({"fabric": ""}, **query), sort_keys=True)
+            for query in queries
+        }
+        batch = service.select_body({"queries": queries}, "t")
+        for lru_pass in (1, 2):  # first pass misses, second hits
+            singles = [service.select_body(query, "t") for query in queries]
+            assert all(body.endswith(self.TAIL) for body in singles)
+            objects = [body[:-len(self.TAIL)] + b"}" for body in singles]
+            assert batch == (
+                b'{"results":[' + b",".join(objects) + b'],"trace_id":"t"}'
+            )
+            metrics = service.metrics
+            assert metrics.cache_misses.total() == len(distinct)
+            assert metrics.cache_hits.total() == (
+                lru_pass * len(queries) - len(distinct)
+            )
+        assert any(b'"clamped":true' in body for body in objects)
+        assert any(b'"fabric":"leaf_spine_2to1"' in body for body in objects)
+
+    def test_metrics_and_sampled_spans_agree(self, eight_collective_registry):
+        from repro.tuning import QuerySampler
+
+        queries = random_queries(eight_collective_registry, seed=2)
+        recorder = obs.get_recorder()
+        observed = []
+        for batched in (False, True):
+            service = SelectionService(eight_collective_registry)
+            service.sampler = QuerySampler(every=1)
+            spans = []
+
+            def capture(span, spans=spans):
+                if span.name == "select.query":
+                    spans.append(list(span.attributes.items()))
+
+            recorder.add_finish_hook(capture)
+            try:
+                if batched:
+                    service.select_body({"queries": queries}, "t")
+                else:
+                    for query in queries:
+                        service.select_body(query, "t")
+            finally:
+                recorder.remove_finish_hook(capture)
+            samples = [
+                line for line in service.metrics.render().splitlines()
+                if line.startswith(
+                    ("repro_selections_total{", "repro_select_clamped_total{")
+                )
+            ]
+            observed.append((samples, spans))
+        assert observed[0] == observed[1]
+        samples, spans = observed[0]
+        assert len(spans) == len(queries)
+        assert any(line.startswith("repro_select_clamped_total{")
+                   for line in samples)

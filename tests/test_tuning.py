@@ -736,12 +736,12 @@ class TestRecalibrateCacheInvalidation:
             "cluster": "minicluster", "operation": "bcast",
             "procs": 8, "nbytes": SIZES[0],
         }
-        warm = service.handle_select(dict(query))
+        warm = json.loads(service.select_body(dict(query), "t"))
         assert warm["artifact"] == artifact.artifact_id
         # Second hit comes from the LRU; still the old artifact.
-        assert service.handle_select(dict(query))["artifact"] == (
-            artifact.artifact_id
-        )
+        assert json.loads(service.select_body(dict(query), "t"))[
+            "artifact"
+        ] == artifact.artifact_id
 
         rebuilt = build_artifact(
             MINICLUSTER,
@@ -757,5 +757,5 @@ class TestRecalibrateCacheInvalidation:
         )
         with make_tuner(service, artifact, cache_dir) as tuner:
             assert tuner.recalibrate(["bcast"]) is True
-        served = service.handle_select(dict(query))
+        served = json.loads(service.select_body(dict(query), "t"))
         assert served["artifact"] == rebuilt.artifact_id
