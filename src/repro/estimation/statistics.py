@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import stats as scipy_stats
-
 from repro.errors import EstimationError
 
 #: Minimum sample count before a Shapiro-Wilk test is attempted.
@@ -65,6 +63,9 @@ def _confidence_halfwidth(samples: list[float], confidence: float) -> float:
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     if variance == 0.0:
         return 0.0
+    # Imported here: only varying samples need it, and it costs ~1 CPU-s.
+    from scipy import stats as scipy_stats
+
     t_critical = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return t_critical * math.sqrt(variance / n)
 
@@ -125,6 +126,9 @@ def adaptive_measure(
 
     normality_p: float | None = None
     if len(samples) >= _NORMALITY_MIN_SAMPLES and std > 0:
+        # Imported here: only varying samples need it, and it costs ~1 CPU-s.
+        from scipy import stats as scipy_stats
+
         normality_p = float(scipy_stats.shapiro(samples).pvalue)
 
     return SampleStats(

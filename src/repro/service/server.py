@@ -389,12 +389,12 @@ class SelectionService:
     def select_body(self, payload, trace_id: str) -> bytes:
         """Render the complete ``POST /select`` 200 response body.
 
-        One query object or ``{"queries": [...]}``: each query is
-        validated, decided and accounted in order, and its fragment gets
-        the per-request trace id (a batch joins them into
-        ``{"results": [...]}``).  Single queries memoise the decision in
-        the LRU; batched ones never touch it.  Raises
-        :class:`RequestError` for client errors.
+        One query object or ``{"queries": [...]}``: every query is
+        validated and decided before any is accounted, so a refused
+        request counts nothing; each fragment gets the per-request trace
+        id (a batch joins them into ``{"results": [...]}``).  Single
+        queries memoise the decision in the LRU; batched ones never touch
+        it.  Raises :class:`RequestError` for client errors.
         """
         self.check_generation()
         tail = b'"trace_id":"' + trace_id.encode("ascii") + b'"}'
@@ -410,14 +410,14 @@ class SelectionService:
                     400, "batch_too_large",
                     f"batch of {len(queries)} exceeds the limit of {MAX_BATCH}",
                 )
-            fragments = []
+            decided = []
             for index, query in enumerate(queries):
                 key = self._validate(query, index)
-                answer = self._decide(key)
+                decided.append((key, self._decide(key)))
+            fragments = []
+            for key, answer in decided:
                 self._account(key, answer)
                 fragments.append(answer[0])
-            # Counted once the whole batch is answered: a batch refused
-            # at query #i counts its first i selections but no queries.
             metrics.queries.inc(float(len(fragments)))
             metrics.batch_queries.inc(float(len(fragments)))
             if not fragments:
@@ -426,14 +426,14 @@ class SelectionService:
                 b'{"results":[' + b"},".join(fragments) + b'}],' + tail
             )
         key = self._validate(payload)
-        metrics.queries.inc_key(_NO_LABELS)
         answer = self.cache.get(key)
         if answer is None:
-            metrics.cache_misses.inc_key(_NO_LABELS)
             answer = self._decide(key)
             self.cache.put(key, answer)
+            metrics.cache_misses.inc_key(_NO_LABELS)
         else:
             metrics.cache_hits.inc_key(_NO_LABELS)
+        metrics.queries.inc_key(_NO_LABELS)
         self._account(key, answer)
         return answer[0] + b"," + tail
 

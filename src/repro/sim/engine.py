@@ -3,8 +3,8 @@
 The engine is deliberately minimal: simulated MPI ranks are Python generator
 functions that ``yield`` :class:`Future` objects (timeouts, requests, or other
 processes) and are resumed when the yielded future completes.  This is the
-same execution model as SimPy, re-implemented here so the package has no
-dependencies beyond numpy/scipy and so the hot path stays small.
+same execution model as SimPy, re-implemented here so the package needs no
+simulation library and so the hot path stays small.
 
 Typical use::
 

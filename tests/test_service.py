@@ -23,6 +23,7 @@ from repro.service import (
     ARTIFACT_SCHEMA,
     ArtifactRegistry,
     LruCache,
+    RequestError,
     SelectionService,
     ServiceThread,
     build_artifact,
@@ -673,6 +674,47 @@ class TestRegistrySwapInvalidation:
             {"queries": [dict(query)]}, "t"
         ))["results"][0]
         assert batch["artifact"] == coarse.artifact_id
+
+
+class TestRefusedRequestsCountNothing:
+    """Bugfix: a refused request answers no query, so it moves no
+    ``repro_select*`` series and no LRU counter, and offers no sampled
+    ``select.query`` span to the self-tuning loop."""
+
+    #: Below the grid, so each answer would also count as clamped.
+    BELOW_GRID = {"cluster": "minicluster", "procs": 1, "nbytes": 0}
+    UNKNOWN = {"cluster": "nowhere", "procs": 4, "nbytes": 1024}
+
+    @pytest.fixture
+    def service(self, artifact):
+        from repro.tuning import QuerySampler
+
+        registry = ArtifactRegistry()
+        registry.add(artifact, "mini")
+        service = SelectionService(registry)
+        service.sampler = QuerySampler(every=1).attach()
+        yield service
+        service.sampler.detach()
+
+    def assert_refused(self, service, payload, status):
+        before = service.metrics.render()
+        with pytest.raises(RequestError) as refused:
+            service.select_body(payload, "t")
+        assert refused.value.status == status
+        assert service.metrics.render() == before
+        assert service.sampler.drain() == []
+
+    def test_batch_refused_at_an_unknown_cluster(self, service):
+        queries = [self.BELOW_GRID, self.BELOW_GRID, self.UNKNOWN]
+        self.assert_refused(service, {"queries": queries}, 404)
+
+    def test_batch_refused_at_an_invalid_query(self, service):
+        bad = dict(self.BELOW_GRID, procs=0)
+        queries = [self.BELOW_GRID, self.BELOW_GRID, bad]
+        self.assert_refused(service, {"queries": queries}, 400)
+
+    def test_refused_single_query(self, service):
+        self.assert_refused(service, self.UNKNOWN, 404)
 
 
 EIGHT_OPERATIONS = (
