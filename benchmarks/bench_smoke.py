@@ -14,8 +14,9 @@ the batched engine ships under:
 
 It also fails when no cell took the executor (``columnar == 0``).  The
 grid is noise-free; noisy and faulted cells, which the executor replays
-too, are gated end to end by the CI step that compares a batched and an
-event-loop ``repro chaos`` sweep byte for byte.
+too, are gated by ``tests/test_runner_reference.py``, which compares the
+runner with an event-loop reference on a ``repro chaos`` sweep byte for
+byte and on random noisy and faulted batches.
 
 Usage::
 

@@ -2,7 +2,7 @@
 
 ``BENCH_simulator.json`` holds a ``runs`` list (same convention as
 ``BENCH_service.json``); every invocation appends one timestamped entry.
-Each entry has four measurement groups (see docs/PERFORMANCE.md):
+Each entry has these measurement groups (see docs/PERFORMANCE.md):
 
 1. **engine micro-benchmarks** — the two workloads of
    ``test_simulator_performance.py``, run through pytest-benchmark, plus
@@ -13,10 +13,9 @@ Each entry has four measurement groups (see docs/PERFORMANCE.md):
    ``selection_comparison`` wall-timed three ways: serial cold, parallel
    cold (``--jobs``, default all cores), and serial against a warm
    persistent cache (which must perform *zero* simulations);
-3. **batched build** — one cold four-collective artifact build through the
-   event-loop engine (``batch=False``, ``event_loop_cold_build_s``) and one
-   through the batched grid simulator (``batch=True``,
-   ``batched_cold_build_s``), asserting identical content hashes;
+3. **batched build** — one cold four-collective artifact build
+   (``batched_cold_build_s``, ``batched_simulations``, ``content_hash``;
+   the names continue the series of earlier runs);
 4. **full-suite build** — the eight-collective artifact (bcast, reduce,
    gather, barrier, allreduce, allgather, alltoall, scatter) built cold
    against a fresh persistent cache and then rebuilt warm, asserting the
@@ -197,24 +196,15 @@ def build_workload(full: bool):
 
 
 def run_build_benchmark(full: bool, jobs: int) -> dict:
-    """Cold artifact build, event-loop engine vs batched grid simulator."""
+    """One cold four-collective artifact build."""
     from repro.service import build_artifact
 
     spec, kwargs = build_workload(full)
-    timings, hashes, sims = {}, {}, {}
-    for batch in (False, True):
-        runner = ParallelRunner(jobs=jobs, batch=batch)
-        start = time.perf_counter()
-        artifact = build_artifact(spec, runner=runner, seed=0, **kwargs)
-        timings[batch] = time.perf_counter() - start
-        hashes[batch] = artifact.content_hash()
-        sims[batch] = runner.stats.simulations
-        runner.close()
-    if hashes[True] != hashes[False]:
-        raise RuntimeError(
-            "batched build diverged from the event-loop build: "
-            f"{hashes[True]} != {hashes[False]}"
-        )
+    runner = ParallelRunner(jobs=jobs)
+    start = time.perf_counter()
+    artifact = build_artifact(spec, runner=runner, seed=0, **kwargs)
+    seconds = time.perf_counter() - start
+    runner.close()
     return {
         "workload": {
             "cluster": spec.name,
@@ -223,13 +213,9 @@ def run_build_benchmark(full: bool, jobs: int) -> dict:
             "scale": "full" if full else "quick",
             "jobs": jobs,
         },
-        "event_loop_cold_build_s": timings[False],
-        "batched_cold_build_s": timings[True],
-        "event_loop_simulations": sims[False],
-        "batched_simulations": sims[True],
-        "speedup_batched_vs_event_loop": timings[False] / timings[True],
-        "content_hash": hashes[True],
-        "content_hash_identical": True,
+        "batched_cold_build_s": seconds,
+        "batched_simulations": runner.stats.simulations,
+        "content_hash": artifact.content_hash(),
     }
 
 
@@ -396,7 +382,7 @@ def main(argv=None) -> int:
     print(f"running selection comparison (jobs={jobs})...")
     report["selection_comparison"] = run_selection_benchmark(args.full, jobs)
 
-    print(f"running batched-vs-event-loop build (jobs={jobs})...")
+    print(f"running cold build (jobs={jobs})...")
     report["batched_build"] = run_build_benchmark(args.full, jobs)
 
     print(f"running flat-vs-fabric build (jobs={jobs})...")
@@ -418,9 +404,8 @@ def main(argv=None) -> int:
     )
     build = report["batched_build"]
     print(
-        f"cold build: event loop {build['event_loop_cold_build_s']:.2f}s | "
-        f"batched {build['batched_cold_build_s']:.2f}s "
-        f"({build['speedup_batched_vs_event_loop']:.1f}x, hashes identical)"
+        f"cold build: {build['batched_cold_build_s']:.2f}s "
+        f"({build['batched_simulations']} simulations)"
     )
     fabric = report["fabric_builds"]
     print(

@@ -304,7 +304,6 @@ def _cmd_artifact_build(args) -> int:
         strict=args.strict,
         screen_mad=args.screen_mad,
         retry_budget=args.retry_budget,
-        batch=args.batch,
     )
     artifact.verify()
     artifact.save(args.output)
@@ -468,20 +467,6 @@ def _exec_flags() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record a structured span trace of this run "
              "(*.jsonl = JSONL, anything else = Chrome trace JSON)",
-    )
-    group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help="run prefetched simulation grids through the batched engine "
-             "(bit-identical to the serial path; default: on)",
-    )
-    group.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="disable the batched engine (one event loop per simulation)",
     )
     return parent
 
@@ -750,7 +735,6 @@ def main(argv: list[str] | None = None) -> int:
                 jobs=args.jobs,
                 cache=not args.no_cache,
                 cache_dir=args.cache_dir,
-                batch=getattr(args, "batch", None),
             )
         return args.func(args)
     except ReproError as error:

@@ -379,10 +379,7 @@ def calibrate_platform(
                     **sweep,
                 )
         with obs.span(
-            "calibrate.prefetch",
-            operation=operation,
-            jobs=len(batch),
-            batched=runner.batch,
+            "calibrate.prefetch", operation=operation, jobs=len(batch)
         ):
             runner.prefetch(batch)
 

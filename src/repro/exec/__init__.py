@@ -2,12 +2,14 @@
 
 Three layers (see docs/PERFORMANCE.md for the architecture):
 
-* :class:`SimJob` / :func:`execute_job` — one deterministic simulation,
-  canonically fingerprinted (:mod:`repro.exec.job`);
+* :class:`SimJob` — one deterministic simulation, canonically
+  fingerprinted, and :func:`execute_job`, its reference run on the
+  generator event loop (:mod:`repro.exec.job`);
 * :class:`ResultCache` — content-addressed persistent store with
   code-salt invalidation (:mod:`repro.exec.cache`);
-* :class:`ParallelRunner` — multi-core batch execution with deterministic
-  ordering, plus the process-wide default runner the CLI flags configure
+* :class:`ParallelRunner` — memo → cache → seed dedupe → replay executor,
+  inline or on a worker pool, with deterministic ordering, plus the
+  process-wide default runner the CLI flags configure
   (:mod:`repro.exec.runner`).
 """
 
@@ -18,13 +20,7 @@ from repro.exec.cache import (
     code_salt,
     default_cache_dir,
 )
-from repro.exec.job import (
-    JOB_KINDS,
-    BatchJob,
-    SimJob,
-    execute_batch_job,
-    execute_job,
-)
+from repro.exec.job import JOB_KINDS, SimJob, execute_job
 from repro.exec.runner import (
     ExecStats,
     ParallelRunner,
@@ -35,7 +31,6 @@ from repro.exec.runner import (
 )
 
 __all__ = [
-    "BatchJob",
     "CACHE_SCHEMA",
     "CacheStats",
     "ExecStats",
@@ -48,7 +43,6 @@ __all__ = [
     "cpu_count",
     "default_cache_dir",
     "default_runner",
-    "execute_batch_job",
     "execute_job",
     "reset_default_runner",
 ]

@@ -6,8 +6,8 @@ A :class:`SimJob` captures *everything* that determines such a call's result
 — the platform (via :meth:`ClusterSpec.fingerprint`), the program kind and
 its parameters, the seed, the timing policy and the rank mapping — so that
 
-* a job can be shipped to a worker process and executed there
-  (:func:`execute_job` is a module-level function, hence picklable), and
+* a job can be shipped to a worker process and executed there (jobs
+  are frozen dataclasses, hence picklable), and
 * a job can be *fingerprinted*: equal fingerprints guarantee bit-identical
   results, which is what makes the persistent result cache sound.
 
@@ -135,54 +135,18 @@ class SimJob:
 
 
 def execute_job(job: SimJob) -> float:
-    """Run one job's simulation and return the measured time in seconds.
+    """Run one job's simulation on the generator event loop and return the
+    measured time in seconds.
 
-    Pure: the result depends only on the job's fields.  Runs in the calling
-    process — the parallel runner ships jobs to workers that call this.
+    Pure: the result depends only on the job's fields.  This is the
+    reference implementation: the parallel runner executes jobs through
+    the replay executor of :mod:`repro.sim.batch`, and the parity tests
+    compare it against this function.
     """
-    # Imported here, not at module top: worker processes only pay for the
-    # measurement stack when they actually execute a job.
+    # Imported here, not at module top: a process only pays for the
+    # measurement stack when it actually executes a job.
     from repro import measure
 
     return measure.run_experiment(
         job.spec, measure.job_experiment(job), seed=job.seed
     )
-
-
-@dataclass(frozen=True)
-class BatchJob:
-    """A slab of independent :class:`SimJob` cells run as one engine pass.
-
-    The parallel runner cuts a prefetched grid into slabs and ships each as
-    one ``BatchJob`` — one IPC round trip and one shared-setup scope per
-    slab instead of per cell.  A batch is *not* a new simulation semantics:
-    :func:`execute_batch_job` returns exactly
-    ``[execute_job(cell) for cell in cells]``, and per-cell results are
-    cached under the individual cell fingerprints, never under the batch's.
-    """
-
-    cells: tuple[SimJob, ...]
-
-    def fingerprint(self) -> str:
-        """Content hash over the member cell fingerprints (order-sensitive)."""
-        digest = hashlib.sha256()
-        for cell in self.cells:
-            digest.update(cell.fingerprint().encode("ascii"))
-        return digest.hexdigest()
-
-    def describe(self) -> str:
-        """One-line human-readable summary (for logs and cache inspection)."""
-        return f"batch[{len(self.cells)} cells]"
-
-
-def execute_batch_job(batch: BatchJob) -> list[float]:
-    """Run one slab through the batched engine; results in cell order.
-
-    Module-level and picklable, like :func:`execute_job`, so pool workers
-    can execute whole slabs.  Bit-for-bit identical to mapping
-    :func:`execute_job` over the cells: the batched engine replays every
-    cell in the event loop's order.
-    """
-    from repro.sim.batch import BatchSimulator
-
-    return BatchSimulator().run(batch.cells)

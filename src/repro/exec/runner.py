@@ -1,29 +1,35 @@
 """Parallel execution of simulation jobs with layered caching.
 
 A :class:`ParallelRunner` takes batches of :class:`~repro.exec.job.SimJob`
-and returns their results *in batch order*.  Resolution is layered:
+and returns their results *in batch order*.  Every request — :meth:`run`,
+:meth:`run_one` and :meth:`prefetch` — resolves through one step:
 
 1. **in-process memo** — every result this runner has ever produced,
    keyed by job fingerprint (always on; this is what makes *prefetching*
    work even with the persistent cache disabled);
 2. **persistent cache** — the cross-process, cross-session
    :class:`~repro.exec.cache.ResultCache`, if configured;
-3. **execution** — remaining jobs run through
-   :func:`~repro.exec.job.execute_job`, either serially or on a
-   ``ProcessPoolExecutor`` with chunked dispatch.
+3. **seed dedupe** — misses that must produce the same float (equal
+   fingerprints, or seed repetitions on a seed-free spec, see
+   :func:`repro.sim.batch.dedupe_key`) collapse to one cell;
+4. **execution** — one executor call runs the cells through the replay
+   executor of :class:`~repro.sim.batch.BatchSimulator`, inline or as
+   contiguous slabs on a ``ProcessPoolExecutor``.
 
-Determinism: simulations are seeded and share no state, worker dispatch
-preserves batch order (``Executor.map``), and a worker computes exactly the
-float the parent would — so results are bit-for-bit identical for any
-``jobs`` value, warm or cold cache.  Tests assert this
-(``tests/test_exec.py``).
+Determinism: simulations are seeded and share no state, slabs are
+contiguous and reassembled in order (``Executor.map``), and the replay
+executor is bit-identical to the event loop of
+:func:`~repro.exec.job.execute_job` — so results are bit-for-bit identical
+for any ``jobs`` value, warm or cold cache.  ``execute_job`` stays the
+reference the tests compare the runner against (``tests/test_exec.py``,
+``tests/test_runner_reference.py``); the runner never calls it.
 
 The typical access pattern is *prefetch then replay*: a hot caller submits
-the first repetitions of every measurement in its sweep as one parallel
-batch, then runs its (inherently sequential) adaptive-measurement loop,
-which finds each simulation already memoised.  Adaptive loops that need
-more repetitions than were prefetched fall through to serial execution of
-just the extra repetitions — semantics identical to the fully serial path.
+the first repetitions of every measurement in its sweep as one batch, then
+runs its (inherently sequential) adaptive-measurement loop, which finds
+each simulation already memoised.  Adaptive loops that need more
+repetitions than were prefetched resolve each extra repetition the same
+way, as a one-cell executor call.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.exec.cache import ResultCache
-from repro.exec.job import BatchJob, SimJob, execute_batch_job, execute_job
+from repro.exec.job import SimJob
 
 #: Sleep before each pool-rebuild attempt after a worker crash.  Short:
 #: the common killer (OOM, an operator's stray ``kill``) either clears
@@ -52,10 +58,13 @@ class ExecStats:
     """Counters of one runner's activity.
 
     ``simulations`` counts actual simulator executions; a fully warm rerun
-    of a benchmark shows ``simulations == 0``.  ``pool_failures`` counts
+    of a benchmark shows ``simulations == 0``.  ``deduped_cells`` counts
+    misses answered by another cell's simulation (seed dedupe on seed-free
+    specs), so ``simulations + deduped_cells`` is the number of distinct
+    fingerprints resolved by execution.  ``pool_failures`` counts
     worker-pool crashes survived by rebuilding the pool;
-    ``fallback_batches`` counts batches that exhausted the retries and ran
-    in-process instead.
+    ``fallback_batches`` counts executor calls that exhausted the retries
+    and ran in-process instead.
     """
 
     simulations: int = 0
@@ -64,10 +73,6 @@ class ExecStats:
     batches: int = 0
     pool_failures: int = 0
     fallback_batches: int = 0
-    #: Cells resolved through the batched engine, and how many of those
-    #: were answered by another cell's result (seed dedupe on seed-free
-    #: specs).
-    batched_cells: int = 0
     deduped_cells: int = 0
 
     def as_dict(self) -> dict:
@@ -78,7 +83,6 @@ class ExecStats:
             "batches": self.batches,
             "pool_failures": self.pool_failures,
             "fallback_batches": self.fallback_batches,
-            "batched_cells": self.batched_cells,
             "deduped_cells": self.deduped_cells,
         }
 
@@ -89,16 +93,6 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def batch_default() -> bool:
-    """Whether batched prefetching is on by default (``REPRO_BATCH``).
-
-    On unless the environment says ``0``/empty — the batched engine is
-    bit-identical to the serial path, so there is no fidelity trade-off in
-    defaulting to it.
-    """
-    return os.environ.get("REPRO_BATCH", "1") not in ("", "0")
 
 
 def _worker_init() -> None:
@@ -114,82 +108,50 @@ def _worker_init() -> None:
     clear_tree_caches()
 
 
+def _replay_cells(cells: Sequence[SimJob]) -> list[float]:
+    """Results of ``cells``, in order, from one replay-executor pass.
+
+    Module-level, hence picklable: pool workers receive each slab as a
+    ``tuple[SimJob, ...]`` and run it through this function.
+    """
+    # Imported here, not at module top: a process only pays for the
+    # simulation stack once it actually executes a cell.
+    from repro.sim.batch import BatchSimulator
+
+    return BatchSimulator().run(cells)
+
+
 class ParallelRunner:
     """Executes simulation jobs across processes, memoising every result.
 
     ``jobs`` is the worker-process count: 1 (the default) executes inline
     with no pool; ``0`` or ``None`` means "all cores".  The pool is created
-    lazily on the first parallel batch and reused across batches.
+    lazily on the first parallel executor call and reused across calls.
     """
 
     def __init__(
-        self,
-        jobs: int | None = 1,
-        cache: ResultCache | None = None,
-        batch: bool | None = None,
+        self, jobs: int | None = 1, cache: ResultCache | None = None
     ):
         self.jobs = cpu_count() if not jobs else max(1, int(jobs))
         self.cache = cache
-        self.batch = batch_default() if batch is None else bool(batch)
         self.stats = ExecStats()
         self._memo: dict[str, float] = {}
         self._pool: ProcessPoolExecutor | None = None
         atexit.register(self.close)
 
     def close(self) -> None:
-        """Shut the worker pool down and release the cache handle."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Shut the worker pool down and release the cache handle.
+
+        Also drops the interpreter-exit hook, which would otherwise keep
+        this runner — memo, cache handle and all — alive until exit.
+        Safe to call repeatedly.
+        """
+        atexit.unregister(self.close)
+        self._discard_pool()
         if self.cache is not None:
             self.cache.close()
 
-    # -- execution ---------------------------------------------------------
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_worker_init
-        )
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def _execute_batch(self, jobs: list[SimJob]) -> list[float]:
-        if self.jobs == 1 or len(jobs) == 1:
-            with obs.span("exec.execute", dispatch="inline", jobs=len(jobs)):
-                return [execute_job(job) for job in jobs]
-        # A worker dying mid-batch (OOM killer, stray signal, container
-        # eviction) surfaces as BrokenProcessPool and poisons the whole
-        # executor.  Jobs are pure functions of their fingerprint, so the
-        # batch is safely re-runnable: rebuild the pool and retry, then
-        # give up on parallelism and finish in-process.  Results stay
-        # bit-identical on every path — the same simulations run, only the
-        # process executing them changes.
-        for backoff in _POOL_RETRY_BACKOFF:
-            try:
-                if self._pool is None:
-                    self._pool = self._make_pool()
-                # Chunked dispatch: ship several jobs per IPC round trip,
-                # but keep enough chunks in flight (~4 per worker) that an
-                # unlucky chunk of heavy jobs cannot serialise the tail of
-                # the batch.
-                chunksize = max(1, len(jobs) // (self.jobs * 4))
-                with obs.span(
-                    "exec.execute", dispatch="pool", jobs=len(jobs),
-                    workers=self.jobs, chunksize=chunksize,
-                ):
-                    return list(
-                        self._pool.map(execute_job, jobs, chunksize=chunksize)
-                    )
-            except BrokenProcessPool:
-                self.stats.pool_failures += 1
-                self._discard_pool()
-                time.sleep(backoff)
-        self.stats.fallback_batches += 1
-        with obs.span("exec.execute", dispatch="fallback", jobs=len(jobs)):
-            return [execute_job(job) for job in jobs]
+    # -- resolution --------------------------------------------------------
 
     def run(self, batch: Sequence[SimJob]) -> list[float]:
         """Results of ``batch``, in order; simulates only unseen jobs."""
@@ -204,47 +166,88 @@ class ParallelRunner:
             if value is not None:
                 self.stats.memo_hits += 1
                 return [value]
-        traced = obs.is_enabled()
-        memo_before, cache_before = self.stats.memo_hits, self.stats.cache_hits
+        return self._resolve(batch)
+
+    def run_one(self, job: SimJob) -> float:
+        """Result of a single job."""
+        return self.run([job])[0]
+
+    def prefetch(self, batch: Sequence[SimJob]) -> None:
+        """Warm the memo (and cache) with ``batch``.
+
+        Duplicate fingerprints inside ``batch`` are collapsed up front, so
+        callers can enumerate naively.
+        """
+        unique: dict[str, SimJob] = {}
+        for job in batch:
+            unique.setdefault(job.fingerprint(), job)
+        self.run(list(unique.values()))
+
+    def _resolve(self, batch: Sequence[SimJob]) -> list[float]:
+        """memo → persistent cache → seed dedupe → one executor call.
+
+        Every miss is stored under its own fingerprint, in the memo and
+        the cache, so warm replay never depends on how a cold run deduped.
+        """
+        from repro.sim.batch import dedupe_key
+
+        stats = self.stats
+        memo_before, cache_before = stats.memo_hits, stats.cache_hits
         with obs.span("exec.run", jobs=len(batch)) as run_span:
             results: list[float | None] = [None] * len(batch)
-            pending: list[tuple[int, SimJob, str]] = []
+            # Batch indices of each missed fingerprint.
+            misses: dict[str, list[int]] = {}
             for index, job in enumerate(batch):
                 key = job.fingerprint()
                 value = self._memo.get(key)
                 if value is not None:
-                    self.stats.memo_hits += 1
+                    stats.memo_hits += 1
                     results[index] = value
+                    continue
+                if key in misses:
+                    misses[key].append(index)
                     continue
                 if self.cache is not None:
                     value = self.cache.get(key)
                     if value is not None:
-                        self.stats.cache_hits += 1
+                        stats.cache_hits += 1
                         self._memo[key] = value
                         results[index] = value
                         continue
-                pending.append((index, job, key))
-            if pending:
-                outcomes = self._execute_batch([job for _, job, _ in pending])
-                for (index, _job, key), value in zip(pending, outcomes):
-                    self.stats.simulations += 1
-                    self._memo[key] = value
-                    if self.cache is not None:
-                        self.cache.put(key, value)
-                    results[index] = value
-            if traced:
+                misses[key] = [index]
+            # Missed fingerprints per executor cell, collapsed before
+            # slabbing so the dedupe works across slab boundaries.
+            cells: dict[str, list[str]] = {}
+            for key, indices in misses.items():
+                cells.setdefault(dedupe_key(batch[indices[0]]), []).append(key)
+            executed = [batch[misses[keys[0]][0]] for keys in cells.values()]
+            if executed:
+                outcomes = self._execute(executed)
+                stats.simulations += len(executed)
+                stats.deduped_cells += len(misses) - len(executed)
+                stored: list[tuple[str, float]] = []
+                for keys, value in zip(cells.values(), outcomes):
+                    for key in keys:
+                        self._memo[key] = value
+                        stored.append((key, value))
+                        for index in misses[key]:
+                            results[index] = value
+                if self.cache is not None:
+                    self.cache.put_many(stored)
+            if obs.is_enabled():
                 # Hit counts come from stats deltas so the untraced loop
                 # above stays byte-for-byte the fast path.  Per-job spans
-                # only cover jobs that actually simulated: memo/cache hits
-                # are microsecond dict/disk lookups, and a span each would
+                # only cover executed cells: memo/cache hits are
+                # microsecond dict/disk lookups, and a span each would
                 # cost more than the hit itself (measured >15% on a
                 # warm-cache build).
                 run_span.set_attrs(
-                    memo_hits=self.stats.memo_hits - memo_before,
-                    cache_hits=self.stats.cache_hits - cache_before,
-                    executed=len(pending),
+                    memo_hits=stats.memo_hits - memo_before,
+                    cache_hits=stats.cache_hits - cache_before,
+                    executed=len(executed),
+                    deduped=len(misses) - len(executed),
                 )
-                for _index, job, _key in pending:
+                for job in executed:
                     with obs.span(
                         "exec.job",
                         source="sim",
@@ -256,44 +259,51 @@ class ParallelRunner:
                         pass
         return results  # type: ignore[return-value]
 
-    def run_one(self, job: SimJob) -> float:
-        """Result of a single job (memo -> cache -> execute)."""
-        return self.run([job])[0]
+    # -- execution ---------------------------------------------------------
 
-    # -- batched grid execution --------------------------------------------
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.jobs, initializer=_worker_init
+        )
 
-    def _execute_cells(self, cells: list[SimJob]) -> list[float]:
-        """Run ``cells`` through the batched engine, in order.
+    def _discard_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
-        Serial runners execute one inline pass; parallel runners cut the
-        grid into contiguous slabs (~2 per worker: slabs are coarse on
-        purpose, one IPC round trip and one shared-setup scope each) and
-        ship whole slabs to pool workers, with the same crash-retry and
-        in-process fallback discipline as the per-job path.
+    def _execute(self, cells: list[SimJob]) -> list[float]:
+        """Results of ``cells``, in order, from the replay executor.
+
+        Serial runners, and calls of at most two cells, run inline.
+        Parallel runners cut the cells into contiguous slabs (~2 per
+        worker: slabs are coarse on purpose, one IPC round trip and one
+        engine pass each) and ship whole slabs to pool workers.
         """
-        from repro.sim.batch import BatchSimulator
-
         if self.jobs == 1 or len(cells) <= 2:
-            with obs.span("exec.execute", dispatch="batch-inline",
-                          cells=len(cells)):
-                return BatchSimulator().run(cells)
+            with obs.span("exec.execute", dispatch="inline", cells=len(cells)):
+                return _replay_cells(cells)
         slab_size = -(-len(cells) // (self.jobs * 2))
         slabs = [
-            BatchJob(cells=tuple(cells[start:start + slab_size]))
+            tuple(cells[start:start + slab_size])
             for start in range(0, len(cells), slab_size)
         ]
+        # A worker dying mid-call (OOM killer, stray signal, container
+        # eviction) surfaces as BrokenProcessPool and poisons the whole
+        # executor.  Cells are pure functions of their fingerprint, so the
+        # call is safely re-runnable: rebuild the pool and retry, then
+        # give up on parallelism and finish in-process.  Results stay
+        # bit-identical on every path — the same simulations run, only the
+        # process executing them changes.
         for backoff in _POOL_RETRY_BACKOFF:
             try:
                 if self._pool is None:
                     self._pool = self._make_pool()
                 with obs.span(
-                    "exec.execute", dispatch="batch-pool", cells=len(cells),
+                    "exec.execute", dispatch="pool", cells=len(cells),
                     workers=self.jobs, slabs=len(slabs),
                 ):
                     results: list[float] = []
-                    for slab_results in self._pool.map(
-                        execute_batch_job, slabs
-                    ):
+                    for slab_results in self._pool.map(_replay_cells, slabs):
                         results.extend(slab_results)
                     return results
             except BrokenProcessPool:
@@ -301,78 +311,8 @@ class ParallelRunner:
                 self._discard_pool()
                 time.sleep(backoff)
         self.stats.fallback_batches += 1
-        with obs.span("exec.execute", dispatch="batch-fallback",
-                      cells=len(cells)):
-            return BatchSimulator().run(cells)
-
-    def _run_batched(self, batch: list[SimJob]) -> None:
-        """Warm memo and cache with ``batch`` via the batched engine.
-
-        ``batch`` must be fingerprint-unique (the :meth:`prefetch` contract).
-        Cells that would produce the same float (seed repetitions on a
-        seed-free spec) collapse to one simulation *before* slabbing, so the
-        dedupe works across slab boundaries; every original fingerprint
-        still receives its own memo and cache entry, keeping warm-cache
-        replay identical to the per-job path.
-        """
-        from repro.sim.batch import dedupe_key
-
-        self.stats.batches += 1
-        with obs.span("exec.run", jobs=len(batch), mode="batch") as run_span:
-            pending: list[tuple[SimJob, str]] = []
-            groups: dict[str, list[int]] = {}
-            for job in batch:
-                key = job.fingerprint()
-                if key in self._memo:
-                    self.stats.memo_hits += 1
-                    continue
-                if self.cache is not None:
-                    value = self.cache.get(key)
-                    if value is not None:
-                        self.stats.cache_hits += 1
-                        self._memo[key] = value
-                        continue
-                groups.setdefault(dedupe_key(job), []).append(len(pending))
-                pending.append((job, key))
-            representatives = [
-                pending[members[0]][0] for members in groups.values()
-            ]
-            if representatives:
-                outcomes = self._execute_cells(representatives)
-                self.stats.simulations += len(representatives)
-                self.stats.batched_cells += len(pending)
-                self.stats.deduped_cells += len(pending) - len(representatives)
-                stored: list[tuple[str, float]] = []
-                for members, value in zip(groups.values(), outcomes):
-                    for member in members:
-                        _job, key = pending[member]
-                        self._memo[key] = value
-                        stored.append((key, value))
-                if self.cache is not None:
-                    self.cache.put_many(stored)
-            if obs.is_enabled():
-                run_span.set_attrs(
-                    executed=len(representatives),
-                    deduped=len(pending) - len(representatives),
-                )
-
-    def prefetch(self, batch: Sequence[SimJob]) -> None:
-        """Warm the memo (and cache) with ``batch``, in parallel.
-
-        Duplicate fingerprints inside ``batch`` are collapsed before
-        dispatch, so callers can enumerate naively.  With :attr:`batch`
-        enabled (the default) the grid goes through the batched engine —
-        bit-identical results, one engine pass per slab instead of per
-        cell.
-        """
-        unique: dict[str, SimJob] = {}
-        for job in batch:
-            unique.setdefault(job.fingerprint(), job)
-        jobs = list(unique.values())
-        if self.batch and len(jobs) > 1:
-            self._run_batched(jobs)
-        else:
-            self.run(jobs)
+        with obs.span("exec.execute", dispatch="fallback", cells=len(cells)):
+            return _replay_cells(cells)
 
 
 # -- process-wide default runner ------------------------------------------
@@ -384,12 +324,11 @@ def configure(
     jobs: int | None = 1,
     cache: bool = False,
     cache_dir: str | None = None,
-    batch: bool | None = None,
 ) -> ParallelRunner:
     """Install (and return) the process-wide default runner.
 
-    Called by the CLI's ``--jobs`` / ``--no-cache`` / ``--cache-dir`` /
-    ``--batch`` flags; library users can call it directly or pass explicit
+    Called by the CLI's ``--jobs`` / ``--no-cache`` / ``--cache-dir``
+    flags; library users can call it directly or pass explicit
     ``runner=`` objects to the hot callers instead.
     """
     global _default_runner
@@ -398,7 +337,6 @@ def configure(
     _default_runner = ParallelRunner(
         jobs=jobs,
         cache=ResultCache(cache_dir) if cache else None,
-        batch=batch,
     )
     return _default_runner
 
@@ -406,12 +344,11 @@ def configure(
 def default_runner() -> ParallelRunner:
     """The process-wide runner, built from the environment on first use.
 
-    ``REPRO_JOBS`` (int; 0 = all cores), ``REPRO_CACHE`` (non-empty,
+    ``REPRO_JOBS`` (int; 0 = all cores) and ``REPRO_CACHE`` (non-empty,
     non-"0" enables the persistent cache at ``REPRO_CACHE_DIR`` or the
-    default location) and ``REPRO_BATCH`` ("0"/empty disables batched
-    prefetching) configure it without code changes.  The zero-config
-    default is serial execution with in-process memoisation only — exactly
-    the seed behaviour — plus the (bit-identical) batched prefetch path.
+    default location) configure it without code changes.  The
+    zero-config default is serial execution with in-process memoisation
+    only.
     """
     global _default_runner
     if _default_runner is None:

@@ -125,10 +125,11 @@ class SelectionArtifact:
     #: decisions, so adding them never changes a content hash — artifacts
     #: built before this field existed keep their hashes bit-for-bit.
     quality: dict = field(default_factory=dict, compare=False)
-    #: How the artifact was built (e.g. ``{"batch": True}``).  Like
-    #: ``quality``, deliberately outside the hashed payload: the batched
-    #: engine is bit-identical to the serial one, so the execution mode
-    #: describes the build process, never the decisions.
+    #: Rebuild provenance (``{"rebuilt": [...], "parent": <content hash>}``,
+    #: see :func:`repro.tuning.recalibrate.rebuild_artifact`); empty for a
+    #: fresh build.  Like ``quality``, deliberately outside the hashed
+    #: payload: it describes how the artifact came about, never the
+    #: decisions.
     build_info: dict = field(default_factory=dict, compare=False)
     #: Performance-guideline verification report (see
     #: :func:`repro.tuning.guidelines.verify_guidelines`), stamped by the
@@ -463,7 +464,6 @@ def build_artifact(
     thresholds: QualityThresholds = DEFAULT_QUALITY,
     screen_mad: float | None = None,
     retry_budget: int = 0,
-    batch: bool | None = None,
 ) -> SelectionArtifact:
     """Run the full pipeline and package the result.
 
@@ -492,15 +492,8 @@ def build_artifact(
 
     Size-independent collectives (the barrier) get a single-column
     decision table: their selection depends on ``P`` only.
-
-    ``batch`` overrides the runner's batched-prefetch mode for this build
-    (``None`` keeps the runner's setting).  The effective mode is recorded
-    in the artifact's unhashed ``build_info`` — batched and serial builds
-    produce bit-identical content hashes.
     """
     runner = runner if runner is not None else default_runner()
-    if batch is not None:
-        runner.batch = bool(batch)
     grid_procs = (
         tuple(proc_points) if proc_points else default_proc_points(spec)
     )
@@ -576,7 +569,6 @@ def build_artifact(
                 entries=entries,
                 fabric=fabric_name,
                 quality=quality,
-                build_info={"batch": runner.batch},
             )
             build_span.set_attr("artifact_id", artifact.artifact_id)
         with obs.span("artifact.guidelines"):

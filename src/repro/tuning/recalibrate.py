@@ -155,7 +155,6 @@ def rebuild_artifact(
             fabric=artifact.fabric,
             quality=quality,
             build_info={
-                "batch": runner.batch,
                 "rebuilt": wanted,
                 "parent": artifact.content_hash(),
             },

@@ -10,7 +10,38 @@ import pytest
 
 from repro.clusters import GRISOU, GROS, MINICLUSTER
 from repro.estimation.workflow import CalibrationResult, calibrate_platform
+from repro.exec import ParallelRunner, execute_job
 from repro.units import KiB, MiB, log_spaced_sizes
+
+
+class ReferenceRunner(ParallelRunner):
+    """The reference a :class:`ParallelRunner` is compared against.
+
+    Its resolve step memoises by fingerprint and runs every miss through
+    :func:`~repro.exec.job.execute_job`, the generator event loop: no
+    persistent cache, no seed dedupe, no pool, no replay executor.
+    Everything else (``run``, ``run_one``, ``prefetch``, ``stats``) is
+    the runner's own, so a caller sees the same interface.
+    """
+
+    def __init__(self):
+        super().__init__(jobs=1)
+
+    def _resolve(self, batch):
+        for job in batch:
+            key = job.fingerprint()
+            if key not in self._memo:
+                self.stats.simulations += 1
+                self._memo[key] = execute_job(job)
+        return [self._memo[job.fingerprint()] for job in batch]
+
+
+@pytest.fixture
+def reference_runner():
+    """A fresh :class:`ReferenceRunner`, closed after the test."""
+    runner = ReferenceRunner()
+    yield runner
+    runner.close()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -217,34 +217,51 @@ class TestParallelRunner:
     def test_memo_avoids_resimulation(self):
         runner = ParallelRunner(jobs=1)
         first = runner.run(self.BATCH)
-        assert runner.stats.simulations == len(self.BATCH)
+        # MINICLUSTER is noise-free: the two seeds of each algorithm
+        # share one simulation.
+        assert runner.stats.simulations == 3
+        assert runner.stats.deduped_cells == 3
         second = runner.run(self.BATCH)
         assert second == first
-        assert runner.stats.simulations == len(self.BATCH)
+        assert runner.stats.simulations == 3
         assert runner.stats.memo_hits == len(self.BATCH)
         runner.close()
 
     def test_duplicate_jobs_in_one_batch_simulate_once_each(self):
-        runner = ParallelRunner(jobs=1, batch=False)
+        runner = ParallelRunner(jobs=1)
         runner.prefetch(self.BATCH + self.BATCH)
-        assert runner.stats.simulations == len(self.BATCH)
+        assert runner.stats.simulations == 3
+        assert runner.stats.deduped_cells == 3
         runner.close()
 
-    def test_batched_prefetch_also_dedupes_seeds(self):
-        # MINICLUSTER is noise-free, so the batched path collapses the
-        # seed axis too: one simulation per (algorithm), not per (seed,
-        # algorithm) — and the results must match the serial path.
-        serial = ParallelRunner(jobs=1, batch=False)
-        batched = ParallelRunner(jobs=1, batch=True)
-        batched.prefetch(self.BATCH + self.BATCH)
-        assert batched.run(self.BATCH) == serial.run(self.BATCH)
-        assert batched.stats.simulations == 3  # binomial, chain, linear
+    def test_batched_prefetch_also_dedupes_seeds(self, reference_runner):
+        # MINICLUSTER is noise-free, so the runner collapses the seed
+        # axis: one simulation per (algorithm), not per (seed,
+        # algorithm) — and the results must match the reference.
+        runner = ParallelRunner(jobs=1)
+        runner.prefetch(self.BATCH + self.BATCH)
+        assert runner.run(self.BATCH) == reference_runner.run(self.BATCH)
+        assert runner.stats.simulations == 3  # binomial, chain, linear
         # 12 submitted = 6 exact-duplicate fingerprints folded up front,
         # then the seed axis collapses the remaining 6 to 3 dedupe keys.
-        assert batched.stats.batched_cells == 6
-        assert batched.stats.deduped_cells == 3
-        serial.close()
-        batched.close()
+        assert runner.stats.simulations + runner.stats.deduped_cells == 6
+        assert runner.stats.deduped_cells == 3
+        runner.close()
+
+    def test_closed_runner_is_freed(self):
+        import gc
+        import weakref
+
+        runner = ParallelRunner(jobs=1)
+        runner.run(self.BATCH[:1])
+        alive = weakref.ref(runner)
+        runner.close()
+        runner.close()  # idempotent
+        del runner
+        gc.collect()
+        # Nothing (the interpreter-exit hook included) keeps a closed
+        # runner, its memo or its cache handle reachable.
+        assert alive() is None
 
     def test_persistent_cache_feeds_second_runner(self, tmp_path):
         first = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))

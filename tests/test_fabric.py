@@ -292,14 +292,16 @@ class TestHierarchicalCollectives:
 
 
 class TestBatchedEngineFallback:
-    def test_batched_runner_matches_serial_on_fabric_specs(self):
+    def test_batched_runner_matches_serial_on_fabric_specs(
+        self, reference_runner
+    ):
         fabspec = TWO_RACK.with_fabric(acceptance_fabric())
-        serial = build_acceptance_artifact(
-            fabspec, runner=ParallelRunner(jobs=1, batch=False)
-        )
-        batched = build_acceptance_artifact(
-            fabspec, runner=ParallelRunner(jobs=1, batch=True)
-        )
+        serial = build_acceptance_artifact(fabspec, runner=reference_runner)
+        runner = ParallelRunner(jobs=1)
+        try:
+            batched = build_acceptance_artifact(fabspec, runner=runner)
+        finally:
+            runner.close()
         assert serial.content_hash() == batched.content_hash()
 
 

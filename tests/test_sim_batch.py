@@ -7,7 +7,7 @@ The load-bearing properties:
   flat and multi-level fabric alike;
 * noisy and faulted cells take the same executor, still returning
   identical results, and only seed-free cells share a simulation;
-* the runner's batched prefetch is equivalent to the serial path and a
+* the runner's prefetch is equivalent to the event-loop reference and a
   warm persistent cache replays a batch with *zero* new simulations.
 """
 
@@ -183,25 +183,26 @@ class TestNoisyAndFaultedCells:
 
 
 class TestRunnerIntegration:
-    def test_batched_prefetch_matches_serial(self):
+    def test_batched_prefetch_matches_serial(self, reference_runner):
         jobs = calibration_grid(MINICLUSTER, 10)[:40]
-        serial = ParallelRunner(jobs=1, batch=False)
-        batched = ParallelRunner(jobs=1, batch=True)
-        serial.prefetch(jobs)
+        batched = ParallelRunner(jobs=1)
+        reference_runner.prefetch(jobs)
         batched.prefetch(jobs)
-        assert batched.run(jobs) == serial.run(jobs)
-        assert batched.stats.batched_cells == len(jobs)
-        assert batched.stats.deduped_cells > 0
-        assert batched.stats.simulations < serial.stats.simulations
+        assert batched.run(jobs) == reference_runner.run(jobs)
+        stats = batched.stats
+        assert stats.simulations + stats.deduped_cells == len(jobs)
+        assert stats.deduped_cells > 0
+        assert stats.simulations < reference_runner.stats.simulations
+        batched.close()
 
     def test_warm_cache_replays_batch_with_zero_simulations(self, tmp_path):
         jobs = calibration_grid(MINICLUSTER, 8)[:24]
-        cold = ParallelRunner(jobs=1, cache=ResultCache(tmp_path), batch=True)
+        cold = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
         cold.prefetch(jobs)
         first = cold.run(jobs)
         assert cold.stats.simulations > 0
 
-        warm = ParallelRunner(jobs=1, cache=ResultCache(tmp_path), batch=True)
+        warm = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
         warm.prefetch(jobs)
         assert warm.run(jobs) == first
         assert warm.stats.simulations == 0
