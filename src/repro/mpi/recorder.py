@@ -91,16 +91,22 @@ class ScheduleRecorder:
         yield (WAIT, requests)
 
     # -- blocking convenience --------------------------------------------------
+    #
+    # These yield their operations themselves rather than through isend,
+    # irecv and wait: a blocking call is a rank's most frequent operation,
+    # and each nested generator adds a frame to every resumption.
 
     def send(self, dest: int, nbytes: int, tag: int = 0) -> OpGen:
         """Blocking send (``isend`` + ``wait``)."""
-        request = yield from self.isend(dest, nbytes, tag)
-        yield from self.wait(request)
+        check_send(len(self.group), self.rank, dest, nbytes)
+        request = yield (ISEND, dest, nbytes, tag)
+        yield (WAIT, (request,))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> OpGen:
         """Blocking receive (``irecv`` + ``wait``)."""
-        request = yield from self.irecv(source, tag)
-        yield from self.wait(request)
+        check_peer(len(self.group), source, wildcard_ok=True)
+        request = yield (IRECV, source, tag)
+        yield (WAIT, (request,))
 
     def sendrecv(
         self,
@@ -111,9 +117,11 @@ class ScheduleRecorder:
         recvtag: int = ANY_TAG,
     ) -> OpGen:
         """Simultaneous send and receive, in Communicator's call order."""
-        recv_request = yield from self.irecv(source, recvtag)
-        send_request = yield from self.isend(dest, nbytes, sendtag)
-        yield from self.waitall([send_request, recv_request])
+        check_peer(len(self.group), source, wildcard_ok=True)
+        recv_request = yield (IRECV, source, recvtag)
+        check_send(len(self.group), self.rank, dest, nbytes)
+        send_request = yield (ISEND, dest, nbytes, sendtag)
+        yield (WAIT, (send_request, recv_request))
 
     def compute(self, seconds: float) -> OpGen:
         """Occupy the rank for ``seconds`` of local computation."""

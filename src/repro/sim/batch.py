@@ -17,18 +17,27 @@ overhead:
 * **One replay executor, for every cell.**  A cell's rank programs run on
   :class:`~repro.mpi.recorder.ScheduleRecorder` communicators, which
   stream each rank's next operation (isend, irecv, wait, compute) whenever
-  the rank can run.  :class:`_Replay` handles those operations in exactly
-  the order :class:`~repro.sim.engine.Simulator` would — by time, then by
-  the order in which the event loop schedules its events — with
-  :class:`~repro.mpi.MpiWorld`'s FIFO matching, eager/rendezvous protocol
-  and per-rank CPU slowdown, on the fabric :meth:`ClusterSpec.make_world`
-  builds.  Every NIC, port, degraded-node and shared-uplink reservation,
-  and every noise, message-loss and link-window draw of a noisy or
-  faulted fabric, is therefore made in the event loop's order, so results
-  are bit-identical by construction, for every algorithm, fabric and
-  fault plan.  :func:`repro.exec.job.execute_job`, the generator event
-  loop, stays the reference every parity test (``tests/test_sim_batch.py``,
+  the rank can run.  :func:`_finish_times` handles those operations in
+  exactly the order :class:`~repro.sim.engine.Simulator` would — by time,
+  then by the order in which the event loop schedules its events — with
+  :class:`~repro.mpi.MpiWorld`'s matching engines, eager/rendezvous
+  protocol and per-rank CPU slowdown, on the fabric
+  :meth:`ClusterSpec.make_world` builds.  Every NIC, port, degraded-node
+  and shared-uplink reservation, and every noise, message-loss and
+  link-window draw of a noisy or faulted fabric, is therefore made in the
+  event loop's order, so results are bit-identical by construction, for
+  every algorithm, fabric and fault plan.
+  :func:`repro.exec.job.execute_job`, the generator event loop, stays the
+  reference every parity test (``tests/test_sim_batch.py``,
   ``tests/test_replay_executor.py``) compares the executor against.
+
+* **One dispatch loop.**  The executor schedules no callbacks: each event
+  is a ``(time, seq, code, arg)`` tuple, and one loop pops it, acts on its
+  code and resumes the rank it unblocks inline.  It allocates no futures,
+  statuses, closures or envelopes — a send request travels as its own
+  message — and a receive scans only its source's unexpected messages
+  (:class:`~repro.mpi.matching.MatchingEngine`).  See
+  ``docs/PERFORMANCE.md``, "Replay hot path", for what each event costs.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from repro import obs
 from repro.clusters.spec import ClusterSpec, seed_free
 from repro.errors import DeadlockError, SimulationError
 from repro.measure import check_policy, elapsed_time, job_experiment
-from repro.mpi.matching import Envelope, PostedRecv, RtsNotice
+from repro.mpi.matching import PostedRecv
 from repro.mpi.recorder import IRECV, ISEND, WAIT, ScheduleRecorder
 
 __all__ = ["BatchSimulator", "BatchStats", "dedupe_key", "replay"]
@@ -88,20 +97,34 @@ class BatchStats:
 
 # -- the replay executor ------------------------------------------------------
 
+#: Event codes of the replay queue: resume a rank (its start, a compute's
+#: end), start an isend once its CPU overhead is charged, complete a
+#: request, deliver a message (eager payload or rendezvous notice) to its
+#: destination's matching engine, and move a rendezvous payload at its
+#: clear-to-send.
+_RESUME, _START, _COMPLETE, _ARRIVE, _PAYLOAD = range(5)
+
+
+def _past(when: float, now: float) -> SimulationError:
+    """The error :class:`~repro.sim.engine.Simulator` raises for ``when``."""
+    return SimulationError(f"cannot schedule into the past: {when} < now={now}")
+
 
 class _Rank:
     """One rank's replay state: its operation stream, its CPU costs and
     what it waits on."""
 
     __slots__ = (
-        "index", "ops", "send_overhead", "compute_factor", "blocked",
-        "isend", "finish", "error",
+        "index", "ops", "engine", "send_overhead", "compute_factor",
+        "blocked", "finish", "error",
     )
 
-    def __init__(self, index: int, ops, send_overhead: float,
+    def __init__(self, index: int, ops, engine, send_overhead: float,
                  compute_factor: float):
         self.index = index
         self.ops = ops
+        #: The rank's matching engine, where its receives are posted.
+        self.engine = engine
         #: Each isend's CPU cost and the factor on each compute, with the
         #: rank's CPU slowdown applied as :class:`~repro.mpi.Communicator`
         #: applies it (a factor of 1.0 leaves every cost exact).
@@ -109,145 +132,185 @@ class _Rank:
         self.compute_factor = compute_factor
         #: Requests of the pending wait still incomplete.
         self.blocked = 0
-        #: The isend operation whose CPU overhead is being charged.
-        self.isend: tuple | None = None
         self.finish: float | None = None
         self.error: Exception | None = None
 
 
-class _Request:
-    """A rank's pending isend or irecv."""
+# A request is ``done`` once complete and ``waited`` once its rank blocked
+# on it (the rank then resumes when it completes).  Both kinds carry the
+# ``cid``, ``src`` and ``tag`` a matching engine reads — every replayed
+# program runs on the world communicator, context 0 — and a send queued as
+# unexpected gets the engine's arrival number in ``order``.
 
-    __slots__ = ("replay", "rank", "done", "waited")
 
-    def __init__(self, replay: "_Replay", rank: _Rank):
-        self.replay = replay
+class _Send:
+    """An isend, which also travels as its own message."""
+
+    __slots__ = (
+        "rank", "done", "waited", "src", "tag", "dest", "nbytes", "order",
+        "recv",
+    )
+
+    cid = 0
+
+    def __init__(self, rank: _Rank, dest: int, nbytes: int, tag: int):
         self.rank = rank
         self.done = False
-        #: Whether the rank blocked on it (and resumes when it completes).
         self.waited = False
-
-
-class _Send(_Request):
-    """An isend; :meth:`grant` answers its rendezvous match."""
-
-    __slots__ = ("dest", "nbytes")
-
-    def __init__(self, replay: "_Replay", rank: _Rank, dest: int, nbytes: int):
-        super().__init__(replay, rank)
+        self.src = rank.index
+        self.tag = tag
         self.dest = dest
         self.nbytes = nbytes
-
-    def grant(self, match_time: float, recv_done) -> None:
-        """Clear-to-send; the payload starts when it reaches the sender."""
-        replay = self.replay
-        cts = replay.fabric.control_transfer(
-            replay.node[self.dest], replay.node[self.rank.index], match_time
-        )
-        replay.schedule(cts, replay.payload, (self, recv_done))
+        #: The receive a rendezvous payload is granted to.
+        self.recv: _Recv | None = None
 
 
-class _Recv(_Request):
+class _Recv:
     """An irecv, posted to the matching engine as itself."""
 
-    __slots__ = ("cid", "src", "tag")
+    __slots__ = ("rank", "done", "waited", "src", "tag")
 
+    cid = 0
     matches = PostedRecv.matches
 
-    def __init__(self, replay: "_Replay", rank: _Rank, src: int, tag: int):
-        super().__init__(replay, rank)
-        self.cid = 0
+    def __init__(self, rank: _Rank, src: int, tag: int):
+        self.rank = rank
+        self.done = False
+        self.waited = False
         self.src = src
         self.tag = tag
 
-    def complete(self, message, now: float) -> None:
-        """Matched at ``now``: an eager payload is here, a rendezvous one
-        is granted."""
-        if message.__class__ is Envelope:
-            self.delivered(now)
-        else:
-            message.grant(now, self.delivered)
 
-    def delivered(self, deliver: float) -> None:
-        replay = self.replay
-        replay.schedule(deliver + replay.recv_overhead, replay.complete, self)
+def _finish_times(world, program) -> list[float]:
+    """Every rank's finish time of ``program`` on ``world``, replayed in
+    the event loop's order; raises like ``run_timed`` would.
 
-
-class _Replay:
-    """One experiment's rank schedules, replayed in the event loop's order.
-
-    The queue holds ``(time, seq, handler, arg)`` events; ``seq`` counts
-    schedulings, so equal times fire in scheduling order, as in
+    One dispatch loop over ``(time, seq, code, arg)`` events; ``seq``
+    counts schedulings, so equal times fire in scheduling order, as in
     :class:`~repro.sim.engine.Simulator`.  Every event the event loop
     schedules for an :class:`~repro.mpi.MpiWorld` — a rank's start, an
     isend's CPU overhead, a compute timeout, a send or receive completion,
-    an arrival, a clear-to-send — is scheduled here at the same point.
-    A rank resumes inside the event that completes its last awaited
-    request, as a process does inside the completing future's callback.
+    an arrival, a clear-to-send — is pushed here at the same point, with
+    the same past-time check, and every fabric call is made at the same
+    point too.  A rank resumes inside the event that completes its last
+    awaited request, as a process does inside the completing future's
+    callback, and an isend starts inside its rank's error scope, as
+    :class:`~repro.mpi.Communicator` starts it inside the process.
     """
+    fabric = world.fabric
+    transfer = fabric.transfer
+    control_transfer = fabric.control_transfer
+    node, port, engines = world.rank_to_node, world.rank_to_port, world.engines
+    params = fabric.params
+    eager_limit = params.eager_limit
+    recv_overhead = params.recv_overhead
+    group = tuple(range(world.size))
+    factors = world.compute_factor or [1.0] * world.size
+    ranks = [
+        _Rank(
+            rank, program(ScheduleRecorder(world, group, rank)),
+            engines[rank], params.send_overhead * factors[rank],
+            factors[rank],
+        )
+        for rank in group
+    ]
+    # Each push is written out with its past-time check: a helper call per
+    # event would add about 3 % to a replay.
+    push, pop = heappush, heappop
+    heap = [(0.0, seq, _RESUME, rank) for seq, rank in enumerate(ranks, 1)]
+    seq = len(heap)
 
-    def __init__(self, world, program):
-        self.fabric = world.fabric
-        self.node = world.rank_to_node
-        self.port = world.rank_to_port
-        self.engines = world.engines
-        params = self.fabric.params
-        self.eager_limit = params.eager_limit
-        self.recv_overhead = params.recv_overhead
-        self.now = 0.0
-        self.heap: list = []
-        self.seq = 0
-        group = tuple(range(world.size))
-        factors = world.compute_factor or [1.0] * world.size
-        self.ranks = [
-            _Rank(
-                rank, program(ScheduleRecorder(world, group, rank)),
-                params.send_overhead * factors[rank], factors[rank],
+    def matched(send: _Send, recv: _Recv, now: float) -> None:
+        """An eager payload is here; a rendezvous one gets its
+        clear-to-send."""
+        nonlocal seq
+        if send.nbytes <= eager_limit:
+            when = now + recv_overhead
+            if when < now:
+                raise _past(when, now)
+            seq += 1
+            push(heap, (when, seq, _COMPLETE, recv))
+        else:
+            send.recv = recv
+            when = control_transfer(node[send.dest], node[send.src], now)
+            if when < now:
+                raise _past(when, now)
+            seq += 1
+            push(heap, (when, seq, _PAYLOAD, send))
+
+    while heap:
+        now, _seq, code, arg = pop(heap)
+        if code == _COMPLETE:
+            arg.done = True
+            if not arg.waited:
+                continue
+            rank = arg.rank
+            rank.blocked -= 1
+            if rank.blocked:
+                continue
+            value = None
+        elif code == _ARRIVE:
+            recv = engines[arg.dest].match_arrival(arg)
+            if recv is not None:
+                matched(arg, recv, now)
+            continue
+        elif code == _START:
+            send = arg
+            rank = send.rank
+            src, dest, nbytes = send.src, send.dest, send.nbytes
+            try:
+                if nbytes <= eager_limit:
+                    timing = transfer(
+                        node[src], node[dest], nbytes, now,
+                        port[src], port[dest],
+                    )
+                    when = timing.inject_end
+                    if when < now:
+                        raise _past(when, now)
+                    seq += 1
+                    push(heap, (when, seq, _COMPLETE, send))
+                    when = timing.deliver
+                    if when < now:
+                        raise _past(when, now)
+                    seq += 1
+                    push(heap, (when, seq, _ARRIVE, send))
+                else:
+                    when = control_transfer(node[src], node[dest], now)
+                    if when < now:
+                        raise _past(when, now)
+                    seq += 1
+                    push(heap, (when, seq, _ARRIVE, send))
+            except Exception as exc:
+                rank.error = exc
+                continue
+            value = send
+        elif code == _PAYLOAD:
+            send = arg
+            src, dest = send.src, send.dest
+            timing = transfer(
+                node[src], node[dest], send.nbytes, now, port[src], port[dest]
             )
-            for rank in group
-        ]
-
-    def schedule(self, when: float, handler, arg) -> None:
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past: {when} < now={self.now}"
-            )
-        self.seq += 1
-        heappush(self.heap, (when, self.seq, handler, arg))
-
-    def run(self) -> list[float]:
-        """Every rank's finish time; raises like ``run_timed`` would."""
-        for rank in self.ranks:
-            self.schedule(0.0, self.advance, rank)
-        heap = self.heap
-        while heap:
-            when, _seq, handler, arg = heappop(heap)
-            self.now = when
-            handler(arg)
-        blocked = [
-            f"rank-{rank.index}" for rank in self.ranks
-            if rank.finish is None and rank.error is None
-        ]
-        if blocked:
-            raise DeadlockError(blocked)
-        for rank in self.ranks:
-            if rank.error is not None:
-                raise rank.error
-        return [rank.finish for rank in self.ranks]
-
-    # -- ranks ----------------------------------------------------------------
-
-    def advance(self, rank: _Rank, value=None) -> None:
-        """Run ``rank`` from its last operation until it blocks or ends."""
+            when = timing.inject_end
+            if when < now:
+                raise _past(when, now)
+            seq += 1
+            push(heap, (when, seq, _COMPLETE, send))
+            when = timing.deliver + recv_overhead
+            if when < now:
+                raise _past(when, now)
+            seq += 1
+            push(heap, (when, seq, _COMPLETE, send.recv))
+            continue
+        else:  # _RESUME
+            rank = arg
+            value = None
+        # Run the rank from its last operation until it blocks or ends.
         ops = rank.ops
         try:
             while True:
                 op = ops.send(value)
-                code = op[0]
-                if code == IRECV:
-                    value = _Recv(self, rank, op[1], op[2])
-                    self.engines[rank.index].post(value, self.now)
-                elif code == WAIT:
+                kind = op[0]
+                if kind == WAIT:
                     blocked = 0
                     for request in op[1]:
                         if not request.done and not request.waited:
@@ -255,71 +318,43 @@ class _Replay:
                             blocked += 1
                     if blocked:
                         rank.blocked = blocked
-                        return
+                        break
                     value = None
-                elif code == ISEND:
-                    rank.isend = op
-                    self.schedule(
-                        self.now + rank.send_overhead, self.start_send, rank
-                    )
-                    return
+                elif kind == IRECV:
+                    value = recv = _Recv(rank, op[1], op[2])
+                    send = rank.engine.match_post(recv)
+                    if send is not None:
+                        matched(send, recv, now)
+                elif kind == ISEND:
+                    when = now + rank.send_overhead
+                    if when < now:
+                        raise _past(when, now)
+                    seq += 1
+                    push(heap, (when, seq, _START,
+                                _Send(rank, op[1], op[2], op[3])))
+                    break
                 else:  # COMPUTE
-                    self.schedule(
-                        self.now + op[1] * rank.compute_factor,
-                        self.advance, rank,
-                    )
-                    return
+                    when = now + op[1] * rank.compute_factor
+                    if when < now:
+                        raise _past(when, now)
+                    seq += 1
+                    push(heap, (when, seq, _RESUME, rank))
+                    break
         except StopIteration:
-            rank.finish = self.now
+            rank.finish = now
         except Exception as exc:
             # A failing rank stops; the others run on, as processes do.
             rank.error = exc
-
-    def complete(self, request) -> None:
-        request.done = True
-        if request.waited:
-            rank = request.rank
-            rank.blocked -= 1
-            if not rank.blocked:
-                self.advance(rank)
-
-    # -- MpiWorld's point-to-point protocol -----------------------------------
-
-    def start_send(self, rank: _Rank) -> None:
-        _code, dest, nbytes, tag = rank.isend
-        src = rank.index
-        request = _Send(self, rank, dest, nbytes)
-        fabric, node = self.fabric, self.node
-        engine = self.engines[dest]
-        if nbytes <= self.eager_limit:
-            timing = fabric.transfer(
-                node[src], node[dest], nbytes, self.now,
-                self.port[src], self.port[dest],
-            )
-            self.schedule(timing.inject_end, self.complete, request)
-            envelope = Envelope(0, src, tag, nbytes, timing.deliver)
-            self.schedule(timing.deliver, self.arrive, (engine, envelope))
-        else:
-            notice = RtsNotice(0, src, tag, nbytes, request.grant)
-            rts = fabric.control_transfer(node[src], node[dest], self.now)
-            self.schedule(rts, self.arrive, (engine, notice))
-        self.advance(rank, request)
-
-    def arrive(self, arrival) -> None:
-        engine, message = arrival
-        engine.arrive(message, self.now)
-
-    def payload(self, grant) -> None:
-        """A rendezvous payload starts moving at its clear-to-send."""
-        request, recv_done = grant
-        src = request.rank.index
-        dest = request.dest
-        timing = self.fabric.transfer(
-            self.node[src], self.node[dest], request.nbytes, self.now,
-            self.port[src], self.port[dest],
-        )
-        self.schedule(timing.inject_end, self.complete, request)
-        recv_done(timing.deliver)
+    blocked = [
+        f"rank-{rank.index}" for rank in ranks
+        if rank.finish is None and rank.error is None
+    ]
+    if blocked:
+        raise DeadlockError(blocked)
+    for rank in ranks:
+        if rank.error is not None:
+            raise rank.error
+    return [rank.finish for rank in ranks]
 
 
 def replay(spec: ClusterSpec, experiment, seed: int = 0) -> float:
@@ -329,7 +364,7 @@ def replay(spec: ClusterSpec, experiment, seed: int = 0) -> float:
     world = spec.make_world(
         experiment.procs, seed=seed, mapping=experiment.mapping
     )
-    finish = _Replay(world, experiment.program).run()
+    finish = _finish_times(world, experiment.program)
     elapsed = elapsed_time(world, finish, experiment.root, experiment.policy)
     return elapsed * experiment.scale
 

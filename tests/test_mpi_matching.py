@@ -1,6 +1,8 @@
 """Tests for the tag-matching engine, and schedule-level tag discipline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clusters import MINICLUSTER, ClusterSpec
 from repro.collectives.registry import algorithm_names, get_algorithm, operations
@@ -12,6 +14,7 @@ from repro.mpi.matching import (
     Envelope,
     MatchingEngine,
     PostedRecv,
+    RtsNotice,
 )
 from repro.mpi.recorder import IRECV, ISEND
 
@@ -104,7 +107,90 @@ class TestEngineQueues:
         engine.post(specific, now=0.0)
         engine.arrive(make_envelope(src=4), now=1.0)
         assert not specific_log  # source 4 does not match recv for source 5
-        assert len(engine.unexpected) == 1
+        assert engine.pending() == (1, 1)
+
+
+# -- differential test against one arrival-ordered queue ---------------------
+
+
+class ListScanEngine:
+    """The reference: one posted list and one unexpected list, each
+    scanned FIFO from the front."""
+
+    def __init__(self):
+        self.posted = []
+        self.unexpected = []
+
+    def arrive(self, message, now):
+        for i, recv in enumerate(self.posted):
+            if recv.matches(message.cid, message.src, message.tag):
+                del self.posted[i]
+                recv.complete(message, now)
+                return
+        self.unexpected.append(message)
+
+    def post(self, recv, now):
+        for i, message in enumerate(self.unexpected):
+            if recv.matches(message.cid, message.src, message.tag):
+                del self.unexpected[i]
+                recv.complete(message, now)
+                return
+        self.posted.append(recv)
+
+    def idle(self):
+        return not self.posted and not self.unexpected
+
+
+CIDS = st.integers(0, 1)
+SOURCES = st.integers(0, 3)
+TAGS = st.integers(0, 2)
+
+#: One step: post a receive (wildcards included) or deliver an eager
+#: envelope or a rendezvous notice.
+STEPS = st.one_of(
+    st.tuples(
+        st.just("post"),
+        CIDS,
+        st.one_of(st.just(ANY_SOURCE), SOURCES),
+        st.one_of(st.just(ANY_TAG), TAGS),
+    ),
+    st.tuples(st.sampled_from(("eager", "rendezvous")), CIDS, SOURCES, TAGS),
+)
+
+
+def _grant(match_time, recv_done):
+    # The test's receives log their match; none grants a notice.
+    raise AssertionError("the engine must not grant")
+
+
+class TestPerSourceQueues:
+    """:class:`MatchingEngine`'s per-source queues against one
+    arrival-ordered list.  No collective posts ``ANY_SOURCE``, so the
+    replay parity suites never match across sources; this test does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(STEPS, max_size=60))
+    def test_matches_like_one_arrival_ordered_queue(self, steps):
+        engines = (MatchingEngine(), ListScanEngine())
+        logs = ([], [])
+        for index, (what, cid, src, tag) in enumerate(steps):
+            for engine, log in zip(engines, logs):
+                # Step ``index`` names the receive or message it creates.
+                if what == "post":
+                    def complete(message, now, log=log, index=index):
+                        log.append((index, message.nbytes))
+
+                    engine.post(PostedRecv(cid, src, tag, complete), index)
+                elif what == "eager":
+                    engine.arrive(Envelope(cid, src, tag, index, index), index)
+                else:
+                    engine.arrive(RtsNotice(cid, src, tag, index, _grant), index)
+            new, reference = engines
+            assert logs[0] == logs[1]
+            assert new.idle() == reference.idle()
+            assert new.pending() == (
+                len(reference.posted), len(reference.unexpected)
+            )
 
 
 # -- schedule-level tag discipline -------------------------------------------

@@ -34,6 +34,7 @@ from repro.faults import (
 from repro.measure import Experiment, run_experiment
 from repro.mpi import ScheduleRecorder
 from repro.sim.batch import BatchSimulator, replay
+from repro.sim.network import Fabric, TransferTiming
 from repro.units import KiB
 
 GRISOU_QUIET = GRISOU.with_noise(0.0)
@@ -214,6 +215,26 @@ def _bad_peer_blocks_others(comm):
         yield from comm.recv(0)
 
 
+def _send_recv(nbytes):
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(1, nbytes)
+        else:
+            yield from comm.recv(0)
+
+    return program
+
+
+def _raises_alike(spec, experiment, error):
+    """Both paths raise ``error`` with the same message."""
+    with pytest.raises(error) as event_loop:
+        run_experiment(spec, experiment)
+    with pytest.raises(error) as executor:
+        replay(spec, experiment)
+    assert type(executor.value) is type(event_loop.value)
+    assert str(executor.value) == str(event_loop.value)
+
+
 class TestErrorParity:
     @pytest.mark.parametrize(
         "program,error,spec",
@@ -229,13 +250,31 @@ class TestErrorParity:
              "deadlock-stragglers", "unmatched-stragglers"],
     )
     def test_executor_raises_like_the_event_loop(self, program, error, spec):
-        experiment = Experiment(program, procs=2)
-        with pytest.raises(error) as event_loop:
-            run_experiment(spec, experiment)
-        with pytest.raises(error) as executor:
-            replay(spec, experiment)
-        assert type(executor.value) is type(event_loop.value)
-        assert str(executor.value) == str(event_loop.value)
+        _raises_alike(spec, Experiment(program, procs=2), error)
+
+    @pytest.mark.parametrize(
+        "method,early,nbytes",
+        [
+            ("transfer",
+             lambda fabric, src, dst, nbytes, ready, *ports: TransferTiming(
+                 ready - 1.0, ready - 1.0, ready - 1.0),
+             64),
+            ("control_transfer",
+             lambda fabric, src, dst, ready: ready - 1.0,
+             64 * KiB),
+        ],
+        ids=["eager", "rendezvous"],
+    )
+    def test_send_start_fails_inside_the_sending_rank(
+        self, monkeypatch, method, early, nbytes
+    ):
+        # A fabric timing before now fails the send as it starts.  The
+        # communicator starts a send inside the sending process, so the
+        # sender stops there and the receiver waits for ever.
+        monkeypatch.setattr(Fabric, method, early)
+        _raises_alike(
+            MINICLUSTER, Experiment(_send_recv(nbytes), procs=2), DeadlockError
+        )
 
     @pytest.mark.parametrize(
         "call",
