@@ -13,10 +13,10 @@ loop does zero parsing.  Verification happens after the clock stops:
    ``DecisionTable.select`` on the same artifact;
 2. server-side latency percentiles come from the
    ``repro_request_seconds`` histogram delta and must satisfy
-   **p99 < 50 ms** over **>= 1000 queries**;
-3. the run sweeps ``--workers`` (0 = in-process ServiceThread, N >= 1 =
-   ``SO_REUSEPORT`` fleet under a :class:`ShardSupervisor`) and records
-   one result per worker count, plus the best as the headline.
+   **p99 < 50 ms** over **>= 1000 queries**.
+
+The server is an in-process :class:`ServiceThread`; the run records the
+best of ``--repeat`` trials with every trial's rate alongside.
 
 The workload shape matches run 1 of BENCH_service.json: 8 clients, a
 seeded 50/50 mix of on-grid and off-grid queries, and every 5th request
@@ -25,7 +25,6 @@ a batch of 16.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_service_bench.py
-    PYTHONPATH=src python benchmarks/run_service_bench.py --workers 1,2,4
     PYTHONPATH=src python benchmarks/run_service_bench.py --full
 """
 
@@ -54,7 +53,6 @@ from repro.service import (  # noqa: E402
     ArtifactRegistry,
     SelectionService,
     ServiceThread,
-    ShardSupervisor,
     build_artifact,
 )
 from repro.service.server import _head_template  # noqa: E402
@@ -307,7 +305,7 @@ def _loadgen_main(
         conn.send(("error", f"client failed during warmup: {errors[:1]}"))
         return
     conn.send(("ready",))
-    conn.recv()  # the parent releases the fleet
+    conn.recv()  # the parent releases the clients
     go.set()
     for thread in threads:
         thread.join(timeout=120)
@@ -389,7 +387,7 @@ def scrape_http(port: int) -> str:
     return text
 
 
-# -- one sweep configuration -------------------------------------------------
+# -- one trial ---------------------------------------------------------------
 
 
 def drive(
@@ -420,10 +418,8 @@ def drive(
     return duration, mismatches, parsed
 
 
-def run_config(
-    workers: int,
+def run_trial(
     artifact,
-    artifact_dir: str,
     workload_path: str,
     depth: int,
     warmup: int,
@@ -431,29 +427,15 @@ def run_config(
     ctx,
 ) -> dict:
     table = artifact.entries["bcast"].table
-    if workers == 0:
-        registry = ArtifactRegistry()
-        registry.add(artifact)
-        service = SelectionService(registry)
-        with ServiceThread(service) as handle:
-            before = scrape_http(handle.port)
-            duration, mismatches, parsed = drive(
-                handle.port, workload_path, depth, warmup, tlen, ctx
-            )
-            after = scrape_http(handle.port)
-    else:
-        supervisor = ShardSupervisor(
-            artifact_dir, port=0, workers=workers
+    registry = ArtifactRegistry()
+    registry.add(artifact)
+    service = SelectionService(registry)
+    with ServiceThread(service) as handle:
+        before = scrape_http(handle.port)
+        duration, mismatches, parsed = drive(
+            handle.port, workload_path, depth, warmup, tlen, ctx
         )
-        supervisor.start()
-        try:
-            before = supervisor.metrics_text()
-            duration, mismatches, parsed = drive(
-                supervisor.port, workload_path, depth, warmup, tlen, ctx,
-            )
-            after = supervisor.metrics_text()
-        finally:
-            supervisor.stop()
+        after = scrape_http(handle.port)
 
     # Bit-identity: every decoded selection equals the offline lookup.
     total_queries = 0
@@ -488,7 +470,6 @@ def run_config(
         raise RuntimeError(f"p99 <= {p99 * 1e3:.2f} ms exceeds 50 ms budget")
 
     return {
-        "workers": workers,
         "queries": total_queries,
         "duration_s": duration,
         "queries_per_s": total_queries / duration if duration else 0.0,
@@ -518,7 +499,6 @@ def run_bench(
     clients: int,
     queries_per_client: int,
     jobs: int,
-    workers_sweep: list[int],
     depth: int,
     warmup: int,
     repeat: int,
@@ -532,9 +512,6 @@ def run_bench(
     ctx = multiprocessing.get_context("spawn")
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        artifact_dir = Path(scratch) / "artifacts"
-        artifact_dir.mkdir()
-        artifact.save(artifact_dir / "artifact.json")
         workload_path = Path(scratch) / "workload.pkl"
         import pickle
 
@@ -543,38 +520,24 @@ def run_bench(
             pickle.dump(workload, handle)
         requests_per_client = len(workload[0][0])
 
-        sweep = []
-        for workers in workers_sweep:
-            label = (
-                "in-process" if workers == 0
-                else f"{workers} reuseport worker(s)"
-            )
-            print(
-                f"[{label}] {clients} clients x {queries_per_client} "
-                f"queries, depth {depth}, best of {repeat}..."
-            )
-            # Best-of-N: the timed window is a few hundred ms, so a
-            # single trial is at the mercy of whatever else the machine
-            # is doing.  All trial rates are recorded alongside.
-            trials = []
-            for _ in range(repeat):
-                trials.append(run_config(
-                    workers, artifact, str(artifact_dir),
-                    str(workload_path), depth, warmup, tlen, ctx,
-                ))
-            result = max(trials, key=lambda t: t["queries_per_s"])
-            result["trials_queries_per_s"] = [
-                trial["queries_per_s"] for trial in trials
-            ]
-            print(
-                f"[{label}] {result['queries']} queries in "
-                f"{result['duration_s']:.3f}s -> "
-                f"{result['queries_per_s']:,.0f} q/s "
-                f"(trials: {[f'{t:,.0f}' for t in result['trials_queries_per_s']]})"
-            )
-            sweep.append(result)
-
-    best = max(sweep, key=lambda result: result["queries_per_s"])
+        print(
+            f"{clients} clients x {queries_per_client} queries, "
+            f"depth {depth}, best of {repeat}..."
+        )
+        # Best-of-N: the timed window is a few hundred ms, so a single
+        # trial is at the mercy of whatever else the machine is doing.
+        # All trial rates are recorded alongside.
+        trials = [
+            run_trial(artifact, str(workload_path), depth, warmup, tlen, ctx)
+            for _ in range(repeat)
+        ]
+    best = max(trials, key=lambda trial: trial["queries_per_s"])
+    rates = [trial["queries_per_s"] for trial in trials]
+    print(
+        f"{best['queries']} queries in {best['duration_s']:.3f}s -> "
+        f"{best['queries_per_s']:,.0f} q/s "
+        f"(trials: {[f'{rate:,.0f}' for rate in rates]})"
+    )
     return {
         "metadata": {
             "python": platform.python_version(),
@@ -599,11 +562,10 @@ def run_bench(
             "id": artifact.artifact_id,
             "build_s": build_s,
         },
-        "sweep": sweep,
         "queries": best["queries"],
         "duration_s": best["duration_s"],
         "queries_per_s": best["queries_per_s"],
-        "best_workers": best["workers"],
+        "trials_queries_per_s": rates,
         "latency_ms": best["latency_ms"],
         "p99_budget_ms": P99_BUDGET * 1e3,
         "selections_bit_identical": True,
@@ -623,11 +585,6 @@ def main(argv=None) -> int:
         help="workers for the artifact build (0 = all cores)",
     )
     parser.add_argument(
-        "--workers", default="1,2",
-        help="comma-separated worker counts to sweep "
-             "(0 = in-process server thread, N = SO_REUSEPORT fleet)",
-    )
-    parser.add_argument(
         "--depth", type=int, default=512,
         help="max in-flight requests per client connection",
     )
@@ -637,17 +594,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--repeat", type=int, default=3,
-        help="trials per worker count; the best is recorded "
+        help="trials; the best is recorded "
              "(all trial rates are kept alongside)",
     )
     parser.add_argument("--full", action="store_true",
                         help="paper-scale artifact (noise-free Gros)")
     args = parser.parse_args(argv)
 
-    workers_sweep = [int(part) for part in args.workers.split(",")]
     run = run_bench(
         args.full, args.clients, args.queries, args.jobs or cpu_count(),
-        workers_sweep, args.depth, args.warmup, args.repeat,
+        args.depth, args.warmup, args.repeat,
     )
 
     output = Path(args.output)
@@ -672,7 +628,7 @@ def main(argv=None) -> int:
         if "speedup_vs_run1" in run else ""
     )
     print(
-        f"best ({run['best_workers']} workers): {run['queries']} queries "
+        f"best: {run['queries']} queries "
         f"in {run['duration_s']:.2f}s ({run['queries_per_s']:,.0f} q/s"
         f"{speedup}) | server-side p50 <= {latency['p50_le']:.2f} ms, "
         f"p99 <= {latency['p99_le']:.2f} ms (budget 50 ms) | "

@@ -351,25 +351,9 @@ def _cmd_artifact_diff(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if args.workers > 1:
-        from repro.service.shard import serve_sharded
-
-        return serve_sharded(
-            args.artifacts,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            admin_port=args.admin_port,
-            cache_size=args.cache_size,
-        )
     from repro.service.server import serve
 
-    return serve(
-        args.artifacts,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-    )
+    return serve(args.artifacts, host=args.host, port=args.port)
 
 
 def _cmd_cache(args) -> int:
@@ -673,15 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of artifact JSON files")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--cache-size", type=int, default=4096,
-                       help="LRU query-cache capacity")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="SO_REUSEPORT worker processes sharing the "
-                            "port (1 = single process, no supervisor)")
-    serve.add_argument("--admin-port", type=int, default=None,
-                       help="supervisor admin port for aggregated "
-                            "/metrics (default: port + 1; only with "
-                            "--workers > 1)")
     serve.set_defaults(func=_cmd_serve)
 
     cache = sub.add_parser(

@@ -12,12 +12,12 @@ call site.  This package operationalises it in two steps:
   "(cluster, collective, P, m) → algorithm" queries through one
   decision function over flat tables, memoised in an LRU for single
   queries; :class:`HttpServer` exposes it over stdlib-asyncio HTTP
-  (``repro serve``) with Prometheus metrics
+  (``repro serve``, one process) with Prometheus metrics
   (:class:`repro.service.metrics.ServiceMetrics`), graceful drain and
   hot reload.
 
-See docs/SERVICE.md for the artifact schema, the endpoint reference and
-the metrics glossary.
+See docs/SERVICE.md for the artifact schema, the endpoint reference, the
+metrics glossary and how to run more than one server process.
 """
 
 from repro.service.artifact import (
@@ -29,7 +29,7 @@ from repro.service.artifact import (
     default_proc_points,
     load_artifact,
 )
-from repro.service.metrics import ServiceMetrics, merge_metrics_texts
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import (
     HttpServer,
     LruCache,
@@ -37,12 +37,6 @@ from repro.service.server import (
     SelectionService,
     ServiceThread,
     serve,
-)
-from repro.service.shard import (
-    ShardSupervisor,
-    WorkerHandle,
-    reuseport_socket,
-    serve_sharded,
 )
 
 __all__ = [
@@ -56,13 +50,8 @@ __all__ = [
     "SelectionService",
     "ServiceMetrics",
     "ServiceThread",
-    "ShardSupervisor",
-    "WorkerHandle",
     "build_artifact",
     "default_proc_points",
     "load_artifact",
-    "merge_metrics_texts",
-    "reuseport_socket",
     "serve",
-    "serve_sharded",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import keyword
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -46,7 +47,7 @@ from repro.estimation.workflow import (
     QualityThresholds,
 )
 from repro.exec.runner import ParallelRunner, default_runner
-from repro.selection.codegen import generate_python
+from repro.selection.codegen import compile_python, generate_python
 from repro.selection.decision_table import DecisionTable, build_decision_table
 from repro.selection.flat_table import FlatDecisionTable
 from repro.selection.model_based import ModelBasedSelector
@@ -69,18 +70,33 @@ class ArtifactEntry:
     function_name: str
     source: str
 
-    def compile(self):
-        """Execute the stored generated source; return the decision callable."""
-        namespace: dict = {}
-        try:
-            exec(compile(self.source, f"<artifact {self.operation}>", "exec"),
-                 namespace)
-            return namespace[self.function_name]
-        except (SyntaxError, KeyError) as error:
+    def __post_init__(self) -> None:
+        # Code generation splices the name into Python source, so any
+        # other text would run as code when the function is generated.
+        name = self.function_name
+        if not (
+            isinstance(name, str) and name.isascii() and name.isidentifier()
+            and not keyword.iskeyword(name)
+        ):
             raise ArtifactError(
-                f"stored decision function for {self.operation!r} does not "
-                f"compile: {error}"
-            ) from error
+                f"decision function name for {self.operation!r} is not a "
+                f"Python identifier: {name!r}"
+            )
+
+    def compile(self):
+        """The decision callable, compiled from the table, never ``source``.
+
+        The content hash is an unkeyed SHA-256 that anyone who edits the
+        file can recompute, so it cannot vouch for code.  The stored
+        ``source`` must equal the code generated from ``table`` and
+        ``function_name``, and only that regenerated code is executed.
+        """
+        if self.source != generate_python(self.table, self.function_name):
+            raise ArtifactError(
+                f"stored decision function for {self.operation!r} is not "
+                "the code generated from its table"
+            )
+        return compile_python(self.table, self.function_name)
 
     def to_dict(self) -> dict:
         return {
@@ -248,10 +264,11 @@ class SelectionArtifact:
     def verify(self) -> None:
         """Cross-check the packaged representations against each other.
 
-        The stored generated source must compile and agree with the
-        decision table on every grid cell — the bit-identity invariant the
-        service later relies on.  Raises :class:`ArtifactError` on any
-        disagreement.
+        The stored generated source must be the code generated from the
+        decision table (:meth:`ArtifactEntry.compile`), and that code must
+        agree with the table on every grid cell — the bit-identity
+        invariant the service later relies on.  Raises
+        :class:`ArtifactError` on any disagreement.
         """
         for operation, entry in self.entries.items():
             fn = entry.compile()

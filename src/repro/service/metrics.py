@@ -347,92 +347,3 @@ class ServiceMetrics:
         )
         return "\n".join(parts) + "\n"
 
-
-def merge_metrics_texts(texts: "list[str]") -> str:
-    """Merge several Prometheus text documents into one fleet view.
-
-    The shard supervisor scrapes every worker's ``/metrics`` and serves
-    the merge: counters and histogram series are *summed* across workers,
-    gauges take the *max* (a fleet is degraded if any worker is; every
-    worker reports the same ``repro_artifacts_loaded``), and the derived
-    ``repro_query_cache_hit_ratio`` is recomputed from the merged hit and
-    miss counters rather than averaged.  Metric and sample order follow
-    first appearance, so the merged document is stable across scrapes.
-    """
-    kinds: dict[str, str] = {}
-    helps: dict[str, str] = {}
-    metric_order: list[str] = []
-    # metric name -> ordered {sample line key (name+labels) -> value}
-    samples: dict[str, dict[str, float]] = {}
-
-    def base_metric(sample_name: str) -> str:
-        # Histogram samples are name_bucket/_sum/_count under one TYPE.
-        for suffix in ("_bucket", "_sum", "_count"):
-            if sample_name.endswith(suffix) and sample_name[: -len(suffix)] in kinds:
-                return sample_name[: -len(suffix)]
-        return sample_name
-
-    for text in texts:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# HELP "):
-                _, _, rest = line.partition("# HELP ")
-                name, _, help_text = rest.partition(" ")
-                helps.setdefault(name, help_text)
-                continue
-            if line.startswith("# TYPE "):
-                _, _, rest = line.partition("# TYPE ")
-                name, _, kind = rest.partition(" ")
-                if name not in kinds:
-                    kinds[name] = kind
-                    metric_order.append(name)
-                    samples[name] = {}
-                continue
-            if line.startswith("#"):
-                continue
-            brace = line.find("{")
-            if brace >= 0:
-                end = line.rfind("}")
-                key = line[: end + 1]
-                value_text = line[end + 1 :].strip()
-                sample_name = line[:brace]
-            else:
-                key, _, value_text = line.rpartition(" ")
-                sample_name = key
-            try:
-                value = float(value_text)
-            except ValueError:
-                continue
-            metric = base_metric(sample_name)
-            if metric not in samples:
-                kinds.setdefault(metric, "untyped")
-                metric_order.append(metric)
-                samples[metric] = {}
-            bucket = samples[metric]
-            if kinds.get(metric) == "gauge":
-                bucket[key] = max(bucket.get(key, float("-inf")), value)
-            else:
-                bucket[key] = bucket.get(key, 0.0) + value
-
-    # The hit ratio is a derived gauge: max() across workers is wrong,
-    # so recompute it from the merged counters.
-    hits = sum(samples.get("repro_query_cache_hits_total", {}).values())
-    misses = sum(samples.get("repro_query_cache_misses_total", {}).values())
-    if "repro_query_cache_hit_ratio" in samples:
-        total = hits + misses
-        samples["repro_query_cache_hit_ratio"] = {
-            "repro_query_cache_hit_ratio": hits / total if total else 0.0
-        }
-
-    lines: list[str] = []
-    for metric in metric_order:
-        if metric in helps:
-            lines.append(f"# HELP {metric} {helps[metric]}")
-        kind = kinds.get(metric, "untyped")
-        if kind != "untyped":
-            lines.append(f"# TYPE {metric} {kind}")
-        for key, value in samples[metric].items():
-            lines.append(f"{key} {_format_value(value) if value == int(value) else repr(value)}")
-    return "\n".join(lines) + "\n"

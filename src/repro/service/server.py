@@ -33,9 +33,9 @@ The hot path is two bisects over flat parallel arrays plus pre-rendered
 JSON fragments — no simulation, no model evaluation, no per-query dict
 walks — so a query costs single-digit microseconds; the load harness
 (``benchmarks/run_service_bench.py``) asserts p99 latency and that served
-selections are bit-identical to offline ``DecisionTable.select``.  For
-multi-core machines, :mod:`repro.service.shard` runs several processes
-of this server behind one ``SO_REUSEPORT`` port.
+selections are bit-identical to offline ``DecisionTable.select``.
+``repro serve`` is one asyncio process; a deployment that wants more
+cores runs one per core behind its own balancer (docs/SERVICE.md §6).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import errno
 import json
 import logging
 import signal
-import socket
 import threading
 import time
 from collections import OrderedDict
@@ -805,7 +804,6 @@ class HttpServer:
         drain_timeout: float = 5.0,
         read_timeout: float = DEFAULT_READ_TIMEOUT,
         slow_request_seconds: float = DEFAULT_SLOW_REQUEST_SECONDS,
-        sock: socket.socket | None = None,
     ):
         self.service = service
         self.host = host
@@ -813,7 +811,6 @@ class HttpServer:
         self.drain_timeout = drain_timeout
         self.read_timeout = read_timeout
         self.slow_request_seconds = slow_request_seconds
-        self._sock = sock
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_HttpProtocol] = set()
@@ -825,20 +822,13 @@ class HttpServer:
 
         Raises :class:`~repro.errors.PortInUseError` when the port is
         already bound, so callers can tell "pick another port" apart from
-        other socket failures.  Passing ``sock`` (e.g. an
-        ``SO_REUSEPORT`` socket from :mod:`repro.service.shard`) skips
-        the bind and serves on the given socket.
+        other socket failures.
         """
         self._loop = asyncio.get_running_loop()
         try:
-            if self._sock is not None:
-                self._server = await self._loop.create_server(
-                    lambda: _HttpProtocol(self), sock=self._sock
-                )
-            else:
-                self._server = await self._loop.create_server(
-                    lambda: _HttpProtocol(self), self.host, self.port
-                )
+            self._server = await self._loop.create_server(
+                lambda: _HttpProtocol(self), self.host, self.port
+            )
         except OSError as error:
             if error.errno == errno.EADDRINUSE:
                 raise PortInUseError(
@@ -853,17 +843,15 @@ class HttpServer:
         self._shutdown.set()
 
     async def serve_until_shutdown(self) -> None:
-        """Block until :meth:`request_shutdown`, then drain and close."""
-        await self._shutdown.wait()
-        await self.drain()
+        """Block until :meth:`request_shutdown`, then drain and close.
 
-    async def drain(self) -> None:
-        """Stop accepting, finish queued work, close connections.
-
-        Dispatch is synchronous inside ``data_received``, so no request
-        is ever half-handled when control reaches here; one loop tick
-        lets already-queued reads complete, then connections close.
+        Draining stops accepting, finishes queued work and closes the
+        connections.  Dispatch is synchronous inside ``data_received``,
+        so no request is ever half-handled when control reaches here;
+        one loop tick lets already-queued reads complete, then
+        connections close.
         """
+        await self._shutdown.wait()
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -902,11 +890,10 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8080,
-    cache_size: int = 4096,
 ) -> int:
-    """Blocking entry point used by ``repro serve`` (single process)."""
+    """Blocking entry point used by ``repro serve``."""
     registry = ArtifactRegistry(directory)
-    service = SelectionService(registry, cache_size=cache_size)
+    service = SelectionService(registry)
     return asyncio.run(_serve_async(service, host, port))
 
 

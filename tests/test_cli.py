@@ -56,6 +56,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_serve_is_one_process(self, capsys, tmp_path):
+        # No worker-count option: argparse refuses it like any unknown one.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--artifacts", str(tmp_path), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_clusters(self, capsys):

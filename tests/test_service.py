@@ -8,17 +8,26 @@ off-grid points.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.clusters import MINICLUSTER
 from repro.errors import ArtifactError
-from repro.selection.codegen import compile_python
+from repro.cli import main
+from repro.selection.codegen import compile_python, generate_python
 from repro.service import (
     ARTIFACT_SCHEMA,
     ArtifactRegistry,
@@ -31,6 +40,8 @@ from repro.service import (
 )
 from repro.service.metrics import Histogram, ServiceMetrics
 from repro.units import KiB, MiB, log_spaced_sizes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GRID_PROCS = tuple(range(2, 17, 2))
 GRID_SIZES = tuple(log_spaced_sizes(8 * KiB, 1 * MiB, 6))
@@ -52,6 +63,16 @@ def artifact_dir(artifact, tmp_path_factory):
     directory = tmp_path_factory.mktemp("artifacts")
     artifact.save(directory / "minicluster.json")
     return directory
+
+
+def rehashed(data: dict) -> str:
+    """An artifact document with its content hash recomputed, as JSON.
+
+    The hash is unkeyed, so anyone who edits a file can do this.
+    """
+    canonical = json.dumps(data["payload"], sort_keys=True, separators=(",", ":"))
+    data["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return json.dumps(data)
 
 
 def off_grid_points(count=20, seed=7):
@@ -129,6 +150,38 @@ class TestArtifact:
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot read"):
             load_artifact(tmp_path / "absent.json")
+
+    def test_code_prepended_to_source_never_runs(self, artifact, tmp_path):
+        marker = tmp_path / "ran"
+        data = artifact.to_dict()
+        entry = data["payload"]["entries"]["bcast"]
+        entry["source"] = (
+            f"open({str(marker)!r}, 'w').write('x')\n" + entry["source"]
+        )
+        path = tmp_path / "crafted.json"
+        path.write_text(rehashed(data))
+        loaded = load_artifact(path)  # the recomputed hash matches
+        with pytest.raises(ArtifactError, match="not the code generated"):
+            loaded.verify()
+        assert main(["artifact", "verify", str(path)]) == 1
+        assert not marker.exists()
+
+    def test_code_in_function_name_never_runs(self, artifact, tmp_path):
+        marker = tmp_path / "ran"
+        name = (
+            f"x(a, b):\n    pass\nopen({str(marker)!r}, 'w').write('x')\n"
+            "def select_bcast"
+        )
+        data = artifact.to_dict()
+        entry = data["payload"]["entries"]["bcast"]
+        entry["function_name"] = name
+        entry["source"] = generate_python(artifact.entries["bcast"].table, name)
+        path = tmp_path / "crafted.json"
+        path.write_text(rehashed(data))
+        with pytest.raises(ArtifactError, match="not a Python identifier"):
+            load_artifact(path)
+        assert main(["artifact", "verify", str(path)]) == 1
+        assert not marker.exists()
 
     def test_unknown_collective_needs_platform(self):
         with pytest.raises(ArtifactError, match="no calibration pipeline"):
@@ -376,6 +429,85 @@ class TestReload:
             )
             assert data["artifact"] == coarse.artifact_id
             client.close()
+
+
+class TestServeProcess:
+    """``repro serve`` as its own process: the signal handlers are live."""
+
+    @staticmethod
+    def post_raw(port: int, payload) -> tuple[int, str, bytes]:
+        """POST /select; the status, trace id and undecoded body."""
+        conn = HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("POST", "/select", json.dumps(payload))
+            response = conn.getresponse()
+            return (response.status, response.getheader("X-Trace-Id"),
+                    response.read())
+        finally:
+            conn.close()
+
+    def test_select_sighup_reload_and_sigterm_drain(
+        self, artifact, mini_platform, tmp_path
+    ):
+        path = artifact.save(tmp_path / "minicluster.json")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--artifacts", str(tmp_path), "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://[^:/]+:(\d+)", banner)
+            if match is None:
+                proc.kill()
+                pytest.fail(f"no banner: {banner!r}\n{proc.communicate()[1]}")
+            port = int(match.group(1))
+
+            offline = SelectionService(ArtifactRegistry(tmp_path))
+            single = {"cluster": "minicluster", "procs": 12, "nbytes": 200_000}
+            batch = {"queries": [
+                {"cluster": "minicluster", "procs": p, "nbytes": m}
+                for p, m in [(GRID_PROCS[3], GRID_SIZES[2]), (7, 100_000),
+                             (1, 1024)]  # on, off and below the grid
+            ]}
+            for payload in (single, batch):
+                status, trace_id, body = self.post_raw(port, payload)
+                assert status == 200
+                assert body == offline.select_body(payload, trace_id)
+
+            coarse = build_artifact(
+                MINICLUSTER,
+                proc_points=(2, 8),
+                size_points=(8 * KiB, 1 * MiB),
+                platforms={"bcast": mini_platform},
+            )
+            assert coarse.content_hash() != artifact.content_hash()
+            coarse.save(path)
+            proc.send_signal(signal.SIGHUP)
+            deadline = time.monotonic() + 30
+            while True:
+                client = Client(port)
+                _, listing = client.request("GET", "/artifacts")
+                client.close()
+                hashes = [a["content_hash"] for a in listing["artifacts"]]
+                if hashes == [coarse.content_hash()]:
+                    break
+                assert time.monotonic() < deadline, hashes
+                time.sleep(0.05)
+
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert "drained; bye" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 class TestConcurrency:

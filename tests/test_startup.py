@@ -1,11 +1,18 @@
-"""Start-up guard: ``scipy.stats`` loads only when samples vary.
+"""Start-up guard: what a fresh process imports.
 
-Importing ``scipy.stats`` costs about a CPU-second and half of a fresh
-process's memory, and the statistics of §5.1 need it only for the
-Student-t interval and the Shapiro-Wilk test of samples that differ.
-Noise-free and seed-free runs (builds, serving, straggler drift) must
-never pay for it.  Each case runs in a fresh interpreter, because this
-one has long since imported it; nothing here times anything.
+It guards two things:
+
+* ``scipy.stats`` loads only when samples vary.  Importing it costs
+  about a CPU-second and half of a fresh process's memory, and the
+  statistics of §5.1 need it only for the Student-t interval and the
+  Shapiro-Wilk test of samples that differ.  Noise-free and seed-free
+  runs (builds, serving, straggler drift) must never pay for it.
+* No entry point loads the stdlib HTTP client and server stack
+  (``http.server``, ``urllib.request``, ``email``): ``repro serve`` is
+  an asyncio protocol over raw sockets and needs none of it.
+
+Each case runs in a fresh interpreter, because this one has long since
+imported all of it; nothing here times anything.
 """
 
 from __future__ import annotations
@@ -19,11 +26,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Printed last by a child script: the scipy modules it has loaded.
+#: Printed last by a child script: every module it has loaded.
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(sys.modules)))
 """
+
+#: The stdlib HTTP stack no entry point may load.
+HTTP_STACK = ("http.server", "urllib.request", "email")
 
 
 def run_fresh(code: str) -> str:
@@ -40,27 +50,27 @@ def run_fresh(code: str) -> str:
     return result.stdout
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after ``code``."""
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after ``code``."""
     stdout = run_fresh(textwrap.dedent(code) + REPORT)
-    return json.loads(stdout.splitlines()[-1])
+    return set(json.loads(stdout.splitlines()[-1]))
 
 
 class TestFreshProcessSkipsScipyStats:
     def test_importing_every_entry_point(self):
-        loaded = scipy_modules_after("""
+        loaded = modules_after("""
             import repro
             import repro.bench.chaos
             import repro.cli
             import repro.exec
             import repro.service
-            import repro.service.shard
             import repro.tuning
         """)
         assert "scipy.stats" not in loaded
+        assert not loaded.intersection(HTTP_STACK)
 
     def test_noise_free_build_serve_and_straggler_oracle(self):
-        loaded = scipy_modules_after("""
+        loaded = modules_after("""
             import json
 
             from repro.bench.chaos import drift_scenario
