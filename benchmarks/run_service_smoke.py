@@ -1,6 +1,6 @@
 """Multi-collective service smoke: build, verify, serve, cross-check.
 
-The end-to-end drill for the per-collective calibration registry: build
+The end-to-end drill for multi-collective builds: build
 one artifact carrying the full collective suite (default all eight —
 bcast, reduce, gather, barrier, allreduce, allgather, alltoall and
 scatter — on the MINICLUSTER small grid), run the packaged

@@ -27,10 +27,10 @@ from repro.bench.runner import SelectionRow, selection_comparison
 from repro.clusters.spec import ClusterSpec
 from repro.errors import EstimationError
 from repro.estimation.regression import DEFAULT_SCREEN_THRESHOLD
-from repro.estimation.registry import get_pipeline
 from repro.estimation.workflow import (
     DEFAULT_QUALITY,
     QualityThresholds,
+    calibrate_platform,
 )
 from repro.exec.runner import ParallelRunner
 from repro.faults import FaultPlan, StragglerFault
@@ -177,37 +177,37 @@ def chaos_sweep(
 ) -> list[ChaosReport]:
     """Measure model-vs-oracle drift across a fault-severity sweep.
 
-    For each severity: build the faulted spec, calibrate *on it* through
-    ``operation``'s registered pipeline with the robustness knobs on
-    (screening, retries), then run the Table-3 comparison against a
-    measured oracle on the same faulted spec.  ``strict_ok`` records
-    whether the fits met the strict quality ``thresholds``; the report
-    carries rows either way, so the drift is visible even when the gate
-    would have refused the calibration.
+    For each severity: build the faulted spec, calibrate ``operation``
+    *on it* with :func:`~repro.estimation.workflow.calibrate_platform`
+    and the robustness knobs on (screening, retries), then run the
+    Table-3 comparison against a measured oracle on the same faulted
+    spec.  ``strict_ok`` records whether the fits met the strict quality
+    ``thresholds``; the report carries rows either way, so the drift is
+    visible even when the gate would have refused the calibration.
     """
     if procs is None:
         procs = max(2, spec.max_procs // 2)
-    pipeline = get_pipeline(operation)
     reports: list[ChaosReport] = []
     for severity in severities:
         plan = severity_plan(spec, procs, severity)
         faulted = spec.with_faults(plan) if plan.enabled() else spec
-        outcome = pipeline.calibrate(
+        result = calibrate_platform(
             faulted,
+            operation=operation,
             runner=runner,
             max_reps=max_reps,
             seed=seed,
             screen_mad=screen_mad,
             retry_budget=retry_budget,
         )
-        failures = tuple(outcome.failing(thresholds))
+        failures = tuple(result.check_quality(thresholds))
         strict_ok = not failures
         oracle = MeasuredOracle(
             faulted, operation=operation, max_reps=max_reps, seed=seed,
             runner=runner,
         )
         rows = selection_comparison(
-            faulted, outcome.platform, procs, sizes,
+            faulted, result.platform, procs, sizes,
             oracle=oracle, max_reps=max_reps,
         )
         reports.append(

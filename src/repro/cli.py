@@ -163,43 +163,14 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_reduce_table(args) -> int:
-    from repro.collectives.reduce import DEFAULT_REDUCE_ALGORITHMS
-    from repro.estimation.workflow import calibrate_platform
-    from repro.measure import time_reduce
-    from repro.selection.ompi_fixed import OmpiFixedSelector
-
     spec = get_preset(args.cluster)
     platform = calibrate_platform(
         spec, operation="reduce", max_reps=args.max_reps, seed=args.seed
     ).platform
-    model_selector = ModelBasedSelector(platform)
-    ompi_selector = OmpiFixedSelector(operation="reduce")
-    print(f"P={args.procs}, MPI_Reduce, {spec.name}")
-    print(f"{'m':>10} {'best':>20} {'model (deg%)':>24} {'Open MPI (deg%)':>30}")
-    for nbytes in PAPER_SIZES:
-        times = {
-            name: time_reduce(spec, name, args.procs, nbytes, 8 * KiB,
-                              seed=args.seed)
-            for name in DEFAULT_REDUCE_ALGORITHMS
-        }
-        best = min(times, key=times.get)
-        model = model_selector.select(args.procs, nbytes)
-        ompi = ompi_selector.select(args.procs, nbytes)
-        model_time = time_reduce(
-            spec, model.algorithm, args.procs, nbytes, model.segment_size,
-            seed=args.seed,
-        )
-        ompi_time = time_reduce(
-            spec, ompi.algorithm, args.procs, nbytes, ompi.segment_size,
-            seed=args.seed,
-        )
-        model_deg = 100 * (model_time - times[best]) / times[best]
-        ompi_deg = 100 * (ompi_time - times[best]) / times[best]
-        print(
-            f"{format_bytes(nbytes):>10} {best:>20} "
-            f"{model.algorithm:>16} ({model_deg:4.0f}) "
-            f"{ompi.describe():>22} ({ompi_deg:5.0f})"
-        )
+    rows = selection_comparison(spec, platform, args.procs, PAPER_SIZES)
+    print(
+        format_table3(rows, title=f"P={args.procs}, MPI_Reduce, {spec.name}")
+    )
     return 0
 
 
@@ -581,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="calibration communicator size")
     build.add_argument("--gamma-max-procs", type=int, default=None,
                        help="largest communicator used by the gamma(P) "
-                            "estimation (bcast and reduce pipelines)")
+                            "estimation (bcast and reduce)")
     build.add_argument("--min-procs", type=int, default=2)
     build.add_argument("--max-procs", type=int, default=None,
                        help="decision grid upper bound (default: cluster capacity)")
@@ -631,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--cluster", required=True)
     chaos.add_argument("--operation", default="bcast",
-                       help="collective to sweep (any registered calibration "
-                            "pipeline; default: bcast)")
+                       help="collective to sweep (any calibrated "
+                            "collective; default: bcast)")
     chaos.add_argument("-P", "--procs", type=int, default=None,
                        help="communicator size (default: half the cluster)")
     chaos.add_argument("--severities", default="0,0.01,0.02,0.05,0.1",

@@ -18,7 +18,9 @@ interval driven adaptive repetition, following MPIBlib),
 :mod:`repro.estimation.regression` (OLS and Huber IRLS),
 :mod:`repro.estimation.p2p` (classical point-to-point estimation used by the
 traditional models and the ablation), and :mod:`repro.estimation.workflow`
-(one-call calibration of a platform, for any collective).
+(:func:`~repro.estimation.workflow.calibrate_platform`, the one
+calibration call for every collective: a new collective needs only its
+``OPERATION_PROFILES`` row).
 """
 
 from repro.estimation.alphabeta import (
@@ -31,14 +33,6 @@ from repro.estimation.alphabeta import (
 from repro.estimation.gamma import estimate_gamma
 from repro.estimation.p2p import estimate_hockney_p2p
 from repro.estimation.regression import huber_fit, mad_screen, ols_fit
-from repro.estimation.registry import (
-    CalibrationOutcome,
-    CalibrationPipeline,
-    get_pipeline,
-    register_pipeline,
-    registered_collectives,
-    unregister_pipeline,
-)
 from repro.estimation.statistics import SampleStats, adaptive_measure
 from repro.estimation.workflow import (
     PlatformModel,
@@ -49,8 +43,6 @@ from repro.estimation.workflow import (
 __all__ = [
     "OPERATION_PROFILES",
     "AlphaBeta",
-    "CalibrationOutcome",
-    "CalibrationPipeline",
     "FitQuality",
     "OperationProfile",
     "PlatformModel",
@@ -61,11 +53,7 @@ __all__ = [
     "estimate_alpha_beta",
     "estimate_gamma",
     "estimate_hockney_p2p",
-    "get_pipeline",
     "huber_fit",
     "mad_screen",
     "ols_fit",
-    "register_pipeline",
-    "registered_collectives",
-    "unregister_pipeline",
 ]

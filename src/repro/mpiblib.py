@@ -30,19 +30,11 @@ from typing import Sequence
 
 from repro.clusters.spec import ClusterSpec
 from repro.collectives.registry import algorithm_names, get_algorithm
-from repro.errors import SimulationError
 from repro.estimation.statistics import SampleStats, adaptive_measure
-from repro.measure import run_timed
+from repro.exec.job import SimJob
+from repro.exec.runner import default_runner
+from repro.selection.oracle import stable_key_hash
 from repro.units import KiB, format_bytes, format_seconds
-
-#: Operations whose algorithms take (comm, root, nbytes, segment_size).
-_SEGMENTED_SIGNATURE = {"bcast", "reduce"}
-#: Operations whose algorithms take (comm, root, nbytes).
-_ROOTED_SIGNATURE = {"gather", "scatter"}
-#: Operations whose algorithms take (comm, nbytes).
-_ROOTLESS_SIGNATURE = {"allgather", "allreduce", "alltoall"}
-#: Operations whose algorithms take (comm,) only.
-_NO_PAYLOAD_SIGNATURE = {"barrier"}
 
 
 @dataclass(frozen=True)
@@ -94,19 +86,6 @@ class CollectiveBenchmark:
         self.max_reps = max_reps
         self.seed = seed
 
-    def _program(self, operation: str, algorithm: str, root: int, nbytes: int,
-                 segment_size: int):
-        entry = get_algorithm(operation, algorithm)
-        if operation in _SEGMENTED_SIGNATURE:
-            return lambda comm: entry(comm, root, nbytes, segment_size)
-        if operation in _ROOTED_SIGNATURE:
-            return lambda comm: entry(comm, root, nbytes)
-        if operation in _ROOTLESS_SIGNATURE:
-            return lambda comm: entry(comm, nbytes)
-        if operation in _NO_PAYLOAD_SIGNATURE:
-            return lambda comm: entry(comm)
-        raise SimulationError(f"no benchmark signature for operation {operation!r}")
-
     def run(
         self,
         operation: str,
@@ -118,24 +97,36 @@ class CollectiveBenchmark:
         root: int = 0,
         policy: str = "global",
     ) -> BenchmarkResult:
-        """Benchmark one configuration to the paper's precision target."""
-        program_of = self._program(operation, algorithm, root, nbytes, segment_size)
+        """Benchmark one configuration to the paper's precision target.
+
+        Repetition seeds derive from the configuration alone, so a noisy
+        run gives the same samples in every process.
+        """
+        get_algorithm(operation, algorithm)  # SelectionError when unknown
+        runner = default_runner()
 
         def measure_once(rep_seed: int) -> float:
-            def body(comm):
-                yield from program_of(comm)
-
-            return run_timed(
-                self.spec, body, procs, root=root, seed=rep_seed, policy=policy
+            return runner.run_one(
+                SimJob(
+                    spec=self.spec,
+                    kind=operation,
+                    procs=procs,
+                    algorithm=algorithm,
+                    nbytes=nbytes,
+                    segment_size=segment_size,
+                    root=root,
+                    seed=rep_seed,
+                    policy=policy,
+                )
             )
 
+        key = (operation, algorithm, procs, nbytes)
         stats = adaptive_measure(
             measure_once,
             precision=self.precision,
             confidence=self.confidence,
             max_reps=self.max_reps,
-            seed=self.seed
-            + 131 * hash((operation, algorithm, procs, nbytes)) % 1_000_000,
+            seed=self.seed + stable_key_hash(key) % 1_000_000,
         )
         return BenchmarkResult(
             operation=operation,

@@ -81,7 +81,7 @@ class OracleStats:
         }
 
 
-def _stable_key_hash(key: tuple) -> int:
+def stable_key_hash(key: tuple) -> int:
     """Deterministic across processes (unlike ``hash`` on strings)."""
     return zlib.crc32(repr(key).encode("utf-8"))
 
@@ -168,7 +168,7 @@ class MeasuredOracle:
         return self.runner if self.runner is not None else default_runner()
 
     def _base_seed(self, key: tuple[int, int, str, int]) -> int:
-        return self.seed + _stable_key_hash(key) % 1_000_000
+        return self.seed + stable_key_hash(key) % 1_000_000
 
     def _job(
         self, procs: int, nbytes: int, algorithm: str, seg: int, rep_seed: int

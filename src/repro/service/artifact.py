@@ -39,12 +39,14 @@ from typing import Mapping, Sequence
 import repro
 from repro import obs
 from repro.clusters.spec import ClusterSpec
-from repro.errors import ArtifactError
-from repro.estimation.registry import get_pipeline, run_pipeline
+from repro.errors import ArtifactError, EstimationError
+from repro.estimation.alphabeta import OPERATION_PROFILES
 from repro.estimation.workflow import (
     DEFAULT_QUALITY,
+    CalibrationResult,
     PlatformModel,
     QualityThresholds,
+    calibrate_platform,
 )
 from repro.exec.runner import ParallelRunner, default_runner
 from repro.selection.codegen import compile_python, generate_python
@@ -386,7 +388,7 @@ def calibration_kwargs(
     screen_mad: float | None = None,
     retry_budget: int = 0,
 ) -> dict:
-    """The calibration kwarg dict a build forwards to every pipeline.
+    """The calibration kwarg dict a build forwards to every collective.
 
     Shared by :func:`build_artifact` and the incremental
     :func:`~repro.tuning.recalibrate.rebuild_artifact` so a rebuild with
@@ -464,6 +466,78 @@ def stamp_guidelines(
     return replace(artifact, guidelines=report.as_dict())
 
 
+def calibrate_operation(
+    spec: ClusterSpec,
+    operation: str,
+    *,
+    runner: ParallelRunner | None = None,
+    strict: bool = False,
+    thresholds: QualityThresholds = DEFAULT_QUALITY,
+    **calib_kwargs,
+) -> CalibrationResult:
+    """Calibrate ``operation`` on ``spec`` for an artifact, gated.
+
+    One :func:`~repro.estimation.workflow.calibrate_platform` call with
+    ``calib_kwargs``, so a knob it does not take raises ``TypeError``
+    before any simulation.  A collective without an
+    :data:`~repro.estimation.alphabeta.OPERATION_PROFILES` row and any
+    :class:`~repro.errors.EstimationError` raise :class:`ArtifactError`;
+    ``strict=True`` also refuses fits that fail ``thresholds``.  Builds
+    and rebuilds both calibrate here, so both meet the same gate.
+    """
+    if operation not in OPERATION_PROFILES:
+        raise ArtifactError(
+            f"no calibration pipeline for collective {operation!r}; "
+            f"known: {', '.join(sorted(OPERATION_PROFILES))}; pass a "
+            "precomputed platform via platforms={...}"
+        )
+    try:
+        result = calibrate_platform(
+            spec, operation=operation, runner=runner, **calib_kwargs
+        )
+    except EstimationError as error:
+        raise ArtifactError(
+            f"{operation} calibration failed: {error}"
+        ) from error
+    failed = result.check_quality(thresholds) if strict else []
+    if failed:
+        details = "; ".join(
+            f"{name}: {result.alpha_beta[name].quality.as_dict()}"
+            for name in failed
+        )
+        raise ArtifactError(
+            f"strict build refused: {spec.name}: "
+            f"{operation} calibration quality gate "
+            f"failed for {', '.join(failed)} ({details})"
+        )
+    return result
+
+
+def operation_entry(
+    operation: str,
+    platform: PlatformModel,
+    proc_points: Sequence[int],
+    size_points: Sequence[int],
+    function_name: str,
+) -> ArtifactEntry:
+    """``operation``'s decision table over ``proc_points`` ×
+    ``size_points`` and its generated decision function, for a build or
+    a rebuild (under the caller's span, beside its ``artifact.calibrate``).
+    """
+    with obs.span("artifact.tables", operation=operation):
+        table = build_decision_table(
+            ModelBasedSelector(platform), proc_points, size_points
+        )
+    with obs.span("artifact.codegen", operation=operation):
+        return ArtifactEntry(
+            operation=operation,
+            platform=platform,
+            table=table,
+            function_name=function_name,
+            source=generate_python(table, function_name=function_name),
+        )
+
+
 def build_artifact(
     spec: ClusterSpec,
     *,
@@ -491,21 +565,20 @@ def build_artifact(
 
     ``platforms`` short-circuits calibration with precomputed
     :class:`PlatformModel` objects (keyed by operation) — used by tests
-    and by rebuilds from a saved calibration.  Every other entry looks up
-    its :class:`~repro.estimation.registry.CalibrationPipeline` in the
-    per-collective registry and calibrates through it (all pipelines run
-    through ``runner``, so the build is parallel and cache-aware for
-    every collective).  A calibration kwarg a pipeline neither accepts
-    nor tolerates raises :class:`ArtifactError` — nothing is silently
-    dropped.
+    and by rebuilds from a saved calibration.  Every other entry is
+    calibrated by :func:`calibrate_operation`, with the same knobs for
+    every collective; each collective's
+    :data:`~repro.estimation.alphabeta.OPERATION_PROFILES` row decides
+    which of them its experiments use.  Every simulation runs through
+    ``runner``, so the build is parallel and cache-aware.
 
     ``strict=True`` refuses to package a calibration whose fits fail the
     quality ``thresholds`` (raising :class:`ArtifactError`) — the gate
-    applies uniformly to *every* pipeline's quality report, not just the
-    broadcast's; fit diagnostics are recorded in the artifact's unhashed
-    ``quality`` section either way.  ``screen_mad`` / ``retry_budget``
-    forward to the pipelines and default off, so a vanilla build is
-    bit-identical to earlier releases.
+    applies uniformly to *every* collective's quality report, not just
+    the broadcast's; fit diagnostics are recorded in the artifact's
+    unhashed ``quality`` section either way.  ``screen_mad`` /
+    ``retry_budget`` default off, so a vanilla build is bit-identical to
+    earlier releases.
 
     Size-independent collectives (the barrier) get a single-column
     decision table: their selection depends on ``P`` only.
@@ -538,15 +611,6 @@ def build_artifact(
         quality: dict[str, dict] = {}
         for operation in collectives:
             precomputed = platforms is not None and operation in platforms
-            size_independent = False
-            if not precomputed:
-                pipeline = get_pipeline(operation)
-                size_independent = pipeline.size_independent
-            else:
-                try:
-                    size_independent = get_pipeline(operation).size_independent
-                except ArtifactError:
-                    pass
             with obs.span(
                 "artifact.calibrate",
                 operation=operation,
@@ -555,30 +619,25 @@ def build_artifact(
                 if precomputed:
                     platform = platforms[operation]
                 else:
-                    op_kwargs = dict(calib_kwargs)
-                    if operation in per_op_algorithms:
-                        op_kwargs["algorithms"] = per_op_algorithms[operation]
-                    outcome = run_pipeline(
-                        spec, operation, runner=runner,
-                        strict=strict, thresholds=thresholds, **op_kwargs,
+                    result = calibrate_operation(
+                        spec, operation, runner=runner, strict=strict,
+                        thresholds=thresholds,
+                        algorithms=per_op_algorithms.get(operation),
+                        **calib_kwargs,
                     )
-                    platform = outcome.platform
-                    report = outcome.quality_report()
+                    platform = result.platform
+                    report = result.quality_report()
                     if report:
                         quality[operation] = report
-            grid_sizes = (0,) if size_independent else tuple(size_points)
-            with obs.span("artifact.tables", operation=operation):
-                selector = ModelBasedSelector(platform)
-                table = build_decision_table(selector, grid_procs, grid_sizes)
-            with obs.span("artifact.codegen", operation=operation):
-                function_name = f"select_{operation}"
-                entries[operation] = ArtifactEntry(
-                    operation=operation,
-                    platform=platform,
-                    table=table,
-                    function_name=function_name,
-                    source=generate_python(table, function_name=function_name),
-                )
+            profile = OPERATION_PROFILES.get(operation)
+            size_independent = profile is not None and profile.size_independent
+            entries[operation] = operation_entry(
+                operation,
+                platform,
+                grid_procs,
+                (0,) if size_independent else tuple(size_points),
+                f"select_{operation}",
+            )
         with obs.span("artifact.package"):
             artifact = SelectionArtifact(
                 cluster=spec.name,

@@ -801,14 +801,12 @@ class HttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        drain_timeout: float = 5.0,
         read_timeout: float = DEFAULT_READ_TIMEOUT,
         slow_request_seconds: float = DEFAULT_SLOW_REQUEST_SECONDS,
     ):
         self.service = service
         self.host = host
         self.port = port
-        self.drain_timeout = drain_timeout
         self.read_timeout = read_timeout
         self.slow_request_seconds = slow_request_seconds
         self._server: asyncio.AbstractServer | None = None

@@ -414,10 +414,9 @@ def _per_rank_block(procs: int, nbytes: int) -> int:
 #: Hunold's cross-collective mock-up inequalities, stated for this
 #: artifact's size conventions (bcast/reduce/allreduce size the full
 #: vector; gather/scatter/allgather a per-rank block; alltoall a
-#: per-pair block).  Every registered collective has a pipeline since the
-#: whole-suite registry landed, so a full eight-collective build checks
-#: all five; narrower artifacts report the inapplicable ones as skipped,
-#: not silently dropped.
+#: per-pair block).  Every collective of the suite calibrates, so a full
+#: eight-collective build checks all five; narrower artifacts report the
+#: inapplicable ones as skipped, not silently dropped.
 for _lhs, _terms, _description in (
     (
         "bcast",

@@ -1,8 +1,8 @@
 """Incremental artifact recalibration.
 
 When drift or a guideline violation implicates *one* collective, a full
-rebuild is waste: the registry is already per-operation, so only the
-affected pipeline needs to re-run.  :func:`rebuild_artifact` recalibrates
+rebuild is waste: calibration is already per-operation, so only the
+affected collective needs to re-run.  :func:`rebuild_artifact` recalibrates
 a subset of an existing artifact's operations on a (possibly drifted)
 cluster spec and repackages — untouched entries are carried over
 *verbatim*, the rebuilt ones reuse their existing decision-grid shape,
@@ -24,17 +24,14 @@ from typing import Sequence
 from repro import obs
 from repro.clusters.spec import ClusterSpec
 from repro.errors import TuningError
-from repro.estimation.registry import run_pipeline
 from repro.estimation.workflow import DEFAULT_QUALITY, QualityThresholds
 from repro.exec.runner import ParallelRunner, default_runner
-from repro.selection.codegen import generate_python
-from repro.selection.decision_table import build_decision_table
-from repro.selection.model_based import ModelBasedSelector
 from repro.service.artifact import (
-    ArtifactEntry,
     SelectionArtifact,
+    calibrate_operation,
     calibration_kwargs,
     fabric_calibration_overrides,
+    operation_entry,
     stamp_guidelines,
 )
 
@@ -60,14 +57,15 @@ def rebuild_artifact(
     """Recalibrate ``operations`` of ``artifact`` on ``spec``; repackage.
 
     ``operations=None`` rebuilds every entry.  Each rebuilt operation
-    re-runs its registered calibration pipeline with the given knobs
-    (same names and defaults as :func:`~repro.service.artifact.
-    build_artifact`, so passing the original build's values replays the
-    original experiment schedule exactly), then rebuilds its decision
-    table over the *existing* entry's grid and regenerates the decision
-    function.  Entries outside ``operations`` are carried over untouched.
+    re-runs the build's calibration call, :func:`~repro.service.artifact.
+    calibrate_operation`, with the given knobs (same names and defaults
+    as :func:`~repro.service.artifact.build_artifact`, so passing the
+    original build's values replays the original experiment schedule
+    exactly), then rebuilds its decision table over the *existing*
+    entry's grid and regenerates the decision function.  Entries outside
+    ``operations`` are carried over untouched.
 
-    ``strict=True`` applies both packaging gates — per-pipeline fit
+    ``strict=True`` applies both packaging gates — per-operation fit
     quality (:class:`~repro.errors.ArtifactError`) and guideline
     verification (:class:`~repro.errors.GuidelineViolationError`) — so a
     self-healing loop can refuse to promote a rebuild that is no better
@@ -118,35 +116,25 @@ def rebuild_artifact(
         quality = dict(artifact.quality)
         for operation in wanted:
             old = artifact.entries[operation]
-            op_kwargs = dict(calib_kwargs)
-            if operation in per_op_algorithms:
-                op_kwargs["algorithms"] = per_op_algorithms[operation]
             with obs.span("artifact.calibrate", operation=operation):
-                outcome = run_pipeline(
-                    spec, operation, runner=runner,
-                    strict=strict, thresholds=thresholds, **op_kwargs,
+                result = calibrate_operation(
+                    spec, operation, runner=runner, strict=strict,
+                    thresholds=thresholds,
+                    algorithms=per_op_algorithms.get(operation),
+                    **calib_kwargs,
                 )
-            report = outcome.quality_report()
+            report = result.quality_report()
             if report:
                 quality[operation] = report
             else:
                 quality.pop(operation, None)
-            with obs.span("artifact.tables", operation=operation):
-                table = build_decision_table(
-                    ModelBasedSelector(outcome.platform),
-                    old.table.proc_points,
-                    old.table.size_points,
-                )
-            with obs.span("artifact.codegen", operation=operation):
-                entries[operation] = ArtifactEntry(
-                    operation=operation,
-                    platform=outcome.platform,
-                    table=table,
-                    function_name=old.function_name,
-                    source=generate_python(
-                        table, function_name=old.function_name
-                    ),
-                )
+            entries[operation] = operation_entry(
+                operation,
+                result.platform,
+                old.table.proc_points,
+                old.table.size_points,
+                old.function_name,
+            )
         rebuilt = SelectionArtifact(
             cluster=artifact.cluster,
             cluster_fingerprint=spec.fingerprint(),

@@ -1,11 +1,15 @@
-"""The per-collective calibration registry (multi-collective builds).
+"""Calibration in artifact builds: one call for every collective.
 
-Covers the registry's contract end to end: the built-in pipelines, the
-accepts/tolerates kwarg validation (a genuinely unsupported kwarg is an
-error, never silently dropped), ``gamma_max_procs`` forwarding to the
-reduce pipeline, the uniform strict quality gate, and the headline
-executor property — a warm persistent cache rebuilds *every* collective's
-calibration with zero simulations.
+Builds, rebuilds and the chaos sweep calibrate every collective with one
+:func:`~repro.estimation.workflow.calibrate_platform` call; builds and
+rebuilds go through :func:`~repro.service.artifact.calibrate_operation`.
+Covers the
+errors it maps to :class:`ArtifactError` (an unknown collective, a
+refused strict gate), a knob nothing takes failing loudly before any
+simulation, ``gamma_max_procs`` reaching the reduce calibration, every
+collective's quality report, and the headline executor property — a warm
+persistent cache rebuilds *every* collective's calibration with zero
+simulations.
 """
 
 from __future__ import annotations
@@ -14,23 +18,15 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.errors import ArtifactError
-from repro.estimation.registry import (
-    CalibrationOutcome,
-    CalibrationPipeline,
-    get_pipeline,
-    register_pipeline,
-    registered_collectives,
-    unregister_pipeline,
-)
-from repro.estimation.workflow import QualityThresholds
+from repro.estimation.alphabeta import OPERATION_PROFILES
+from repro.estimation.workflow import CalibrationResult, QualityThresholds
 from repro.exec.cache import ResultCache
 from repro.exec.runner import ParallelRunner
-from repro.service.artifact import build_artifact
+from repro.service.artifact import build_artifact, calibrate_operation
 from repro.units import KiB
 
-#: One kwarg set every built-in pipeline either accepts or tolerates —
-#: the shape ``build_artifact`` forwards in a combined multi-collective
-#: build.
+#: One kwarg set every collective takes — the shape ``build_artifact``
+#: forwards in a combined multi-collective build.
 CALIB_KWARGS = dict(
     procs=4,
     sizes=(8 * KiB, 32 * KiB, 128 * KiB),
@@ -45,7 +41,7 @@ IMPOSSIBLE = QualityThresholds(
 )
 
 
-#: Every built-in pipeline: the original four plus the whole suite.
+#: Every built-in collective: the original four plus the whole suite.
 ALL_PIPELINES = (
     "bcast", "reduce", "gather", "barrier",
     "allreduce", "allgather", "alltoall", "scatter",
@@ -54,84 +50,63 @@ ALL_PIPELINES = (
 
 class TestRegistryListing:
     def test_builtin_collectives_registered(self):
-        assert set(ALL_PIPELINES) <= set(registered_collectives())
+        # A collective is calibrated by its OPERATION_PROFILES row alone.
+        assert set(ALL_PIPELINES) <= set(OPERATION_PROFILES)
 
     def test_unknown_operation_names_registered_pipelines(self):
         with pytest.raises(ArtifactError, match="no calibration pipeline"):
-            get_pipeline("reduce_scatter")
+            calibrate_operation(MINICLUSTER, "reduce_scatter")
 
     def test_build_artifact_rejects_unregistered_collective(self):
         with pytest.raises(ArtifactError, match="no calibration pipeline"):
             build_artifact(MINICLUSTER, collectives=("reduce_scatter",))
 
 
+def _refused_before_any_simulation(operation: str, **kwargs) -> None:
+    runner = ParallelRunner(jobs=1)
+    try:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            calibrate_operation(MINICLUSTER, operation, runner=runner, **kwargs)
+        assert runner.stats.simulations == 0
+    finally:
+        runner.close()
+
+
 class TestKwargContract:
-    def _recorder(self, seen: dict):
-        def fn(spec, *, runner=None, **kwargs):
-            seen.update(kwargs)
-            raise RuntimeError("recorder: calibration should not proceed")
-
-        return CalibrationPipeline(
-            operation="_test_op",
-            fn=fn,
-            accepts=frozenset({"seed"}),
-            tolerates=frozenset({"procs"}),
-        )
-
-    def test_accepted_kwargs_forwarded_tolerated_dropped(self):
-        seen: dict = {}
-        pipeline = self._recorder(seen)
-        with pytest.raises(RuntimeError, match="recorder"):
-            pipeline.calibrate(MINICLUSTER, seed=7, procs=4)
-        assert seen == {"seed": 7}
-
     def test_unsupported_kwarg_is_an_error_not_a_drop(self):
-        seen: dict = {}
-        pipeline = self._recorder(seen)
-        with pytest.raises(ArtifactError, match="does not support bogus_knob"):
-            pipeline.calibrate(MINICLUSTER, seed=7, bogus_knob=1)
-        assert seen == {}  # validation happens before any work
+        # A misspelled knob among valid ones fails the call outright.
+        knobs = dict(CALIB_KWARGS)
+        knobs["max_rep"] = knobs.pop("max_reps")
+        _refused_before_any_simulation("bcast", **knobs)
 
     def test_builtin_pipelines_reject_unknown_kwargs(self):
         for operation in ALL_PIPELINES:
-            with pytest.raises(ArtifactError, match="does not support"):
-                get_pipeline(operation).calibrate(MINICLUSTER, bogus_knob=1)
+            _refused_before_any_simulation(operation, bogus_knob=1)
 
     def test_gamma_max_procs_accepted_by_reduce(self):
-        # Regression: the reduce pipeline used to silently ignore
-        # gamma_max_procs; it must now forward it to the calibration.
-        assert "gamma_max_procs" in get_pipeline("reduce").accepts
-
-    def test_duplicate_registration_refused_unless_replaced(self):
-        pipeline = CalibrationPipeline(
-            operation="_test_dup",
-            fn=lambda spec, *, runner=None, **kwargs: None,
-            accepts=frozenset(),
+        # Regression: a build's gamma_max_procs once never reached the
+        # reduce calibration.
+        artifact = build_artifact(
+            MINICLUSTER, collectives=("reduce",), proc_points=(2, 4),
+            size_points=(8 * KiB, 64 * KiB), procs=4,
+            sizes=(8 * KiB, 64 * KiB), gamma_max_procs=2, max_reps=3,
         )
-        register_pipeline(pipeline)
-        try:
-            with pytest.raises(ArtifactError, match="already registered"):
-                register_pipeline(pipeline)
-            register_pipeline(pipeline, replace=True)
-            assert get_pipeline("_test_dup") is pipeline
-        finally:
-            unregister_pipeline("_test_dup")
-        with pytest.raises(ArtifactError, match="no calibration pipeline"):
-            get_pipeline("_test_dup")
+        assert sorted(artifact.entries["reduce"].platform.gamma.table) == [2]
 
 
 class TestGammaMaxProcsForwarding:
     def test_reduce_gamma_table_bounded_by_gamma_max_procs(self):
-        outcome = get_pipeline("reduce").calibrate(
+        result = calibrate_operation(
             MINICLUSTER,
+            "reduce",
             procs=4,
             sizes=(8 * KiB, 64 * KiB),
             gamma_max_procs=3,
             max_reps=3,
             seed=0,
         )
-        assert outcome.platform.gamma.table
-        assert max(outcome.platform.gamma.table) <= 3
+        assert result.platform.gamma.table
+        assert max(result.platform.gamma.table) <= 3
 
 
 class TestWarmCacheRebuild:
@@ -139,14 +114,17 @@ class TestWarmCacheRebuild:
     def test_rebuild_from_warm_cache_runs_zero_simulations(
         self, operation, tmp_path
     ):
-        pipeline = get_pipeline(operation)
         cold = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        first = pipeline.calibrate(MINICLUSTER, runner=cold, **CALIB_KWARGS)
+        first = calibrate_operation(
+            MINICLUSTER, operation, runner=cold, **CALIB_KWARGS
+        )
         assert cold.stats.simulations > 0
         cold.close()
 
         warm = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        second = pipeline.calibrate(MINICLUSTER, runner=warm, **CALIB_KWARGS)
+        second = calibrate_operation(
+            MINICLUSTER, operation, runner=warm, **CALIB_KWARGS
+        )
         assert warm.stats.simulations == 0
         warm.close()
 
@@ -197,13 +175,13 @@ class TestStrictGate:
     @pytest.mark.parametrize(
         "operation",
         (
-            "reduce", "gather", "barrier",
+            "bcast", "reduce", "gather", "barrier",
             "allreduce", "allgather", "alltoall", "scatter",
         ),
     )
     def test_strict_build_gates_every_pipeline(self, operation):
         # Regression: --strict used to gate only the broadcast calibration;
-        # every pipeline's quality report now feeds the same gate.
+        # every collective's quality report now feeds the same gate.
         with pytest.raises(
             ArtifactError,
             match=f"strict build refused.*{operation} calibration quality",
@@ -220,11 +198,13 @@ class TestStrictGate:
 
     def test_every_calibrating_pipeline_reports_quality(self):
         for operation in ALL_PIPELINES:
-            outcome = get_pipeline(operation).calibrate(
-                MINICLUSTER, **CALIB_KWARGS
+            result = calibrate_operation(
+                MINICLUSTER, operation, **CALIB_KWARGS
             )
-            assert isinstance(outcome, CalibrationOutcome)
-            assert outcome.quality, f"{operation} produced no quality report"
-            # failing() names a subset of the fitted algorithms (the small
-            # test sweep may legitimately trip the model-form residual).
-            assert set(outcome.failing()) <= set(outcome.quality)
+            assert isinstance(result, CalibrationResult)
+            report = result.quality_report()
+            assert report, f"{operation} produced no quality report"
+            # check_quality() names a subset of the fitted algorithms (the
+            # small test sweep may legitimately trip the model-form
+            # residual).
+            assert set(result.check_quality()) <= set(report)

@@ -1,12 +1,16 @@
-"""Pinned calibration schedules and the registry's kwarg contract.
+"""Pinned calibration schedules and the calibration kwarg contract.
 
 A calibration's *schedule* is the ordered list of simulation jobs it asks
 the runner for: the up-front prefetch batch, then every job the adaptive
 loops replay from the memo.  Jobs are keyed by seed, so any change to a
 schedule silently breaks warm-cache replay and every artifact content
-hash built on it.  Each built-in pipeline's schedule is recorded here
-through a recording runner and compared to a recorded digest; the specs
-are noise-free, so the digests cover integer and string data only.
+hash built on it.  Each collective's schedule, calibrated as an artifact
+build calibrates it, is recorded here through a recording runner and
+compared to a recorded digest; the specs are noise-free, so the digests
+cover integer and string data only.
+
+Every collective takes the same knobs, and a knob its profile does not
+use must change neither its schedule nor its platform.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ import json
 import pytest
 
 from repro.clusters import MINICLUSTER
-from repro.estimation.registry import get_pipeline, run_pipeline
+from repro.estimation.alphabeta import OPERATION_PROFILES
 from repro.exec.runner import ParallelRunner
 from repro.fabric import build_fabric
-from repro.service.artifact import fabric_calibration_overrides
+from repro.service.artifact import (
+    calibrate_operation,
+    fabric_calibration_overrides,
+)
 from repro.units import KiB
 
 KNOBS = dict(
@@ -89,23 +96,24 @@ class RecordingRunner(ParallelRunner):
         return super().run_one(job)
 
 
-def record_schedule(spec, operation: str) -> RecordingRunner:
-    """Calibrate ``operation`` as an artifact build on ``spec`` would."""
+def record_schedule(spec, operation: str, **extra_knobs):
+    """Calibrate ``operation`` as an artifact build on ``spec`` would.
+
+    Returns the recording runner and the calibration result.
+    """
     _fabric, extra, per_op_algorithms = fabric_calibration_overrides(spec)
-    kwargs = {**KNOBS, **extra}
+    kwargs = {**KNOBS, **extra, **extra_knobs}
     if operation in per_op_algorithms:
         kwargs["algorithms"] = per_op_algorithms[operation]
     runner = RecordingRunner()
     try:
-        run_pipeline(spec, operation, runner=runner, **kwargs)
+        result = calibrate_operation(spec, operation, runner=runner, **kwargs)
     finally:
         runner.close()
-    return runner
+    return runner, result
 
 
-@pytest.mark.parametrize("spec_name,operation", sorted(SCHEDULES))
-def test_schedule_is_pinned(spec_name, operation):
-    runner = record_schedule(SPECS[spec_name], operation)
+def assert_pinned(runner: RecordingRunner, spec_name: str, operation: str):
     jobs, digest = SCHEDULES[spec_name, operation]
     assert len(runner.prefetched) == jobs
     # Every prefetched job is replayed exactly once, nothing else is.
@@ -114,55 +122,26 @@ def test_schedule_is_pinned(spec_name, operation):
     assert hashlib.sha256(schedule.encode()).hexdigest() == digest
 
 
-_SIZE_SWEEP = {
-    "procs", "algorithms", "sizes", "regressor", "precision", "max_reps",
-    "seed", "screen_mad", "retry_budget",
-}
-
-#: The registry's kwarg contract, as hand-written literal sets.
-ACCEPTS = {
-    "bcast": frozenset({
-        "procs", "algorithms", "model_family", "estimation",
-        "gamma_method", "segment_size", "sizes", "gather_bytes",
-        "gamma_max_procs", "regressor", "precision", "max_reps",
-        "seed", "screen_mad", "retry_budget", "strict",
-        "model_params",
-    }),
-    "reduce": frozenset({
-        "procs", "algorithms", "sizes", "segment_size",
-        "gamma_max_procs", "regressor", "precision", "max_reps",
-        "seed", "screen_mad", "retry_budget", "model_params",
-    }),
-    "gather": frozenset(_SIZE_SWEEP),
-    "barrier": frozenset({
-        "proc_counts", "algorithms", "precision", "max_reps",
-        "seed", "retry_budget",
-    }),
-    "allreduce": frozenset(_SIZE_SWEEP),
-    "allgather": frozenset(_SIZE_SWEEP),
-    "alltoall": frozenset(_SIZE_SWEEP),
-    "scatter": frozenset(_SIZE_SWEEP),
-}
-
-_DIRECT_TOLERATES = frozenset({"gamma_max_procs", "segment_size", "model_params"})
-
-TOLERATES = {
-    "bcast": frozenset(),
-    "reduce": frozenset(),
-    "gather": _DIRECT_TOLERATES,
-    "barrier": frozenset({
-        "procs", "sizes", "segment_size", "gamma_max_procs",
-        "screen_mad", "regressor", "model_params",
-    }),
-    "allreduce": _DIRECT_TOLERATES,
-    "allgather": _DIRECT_TOLERATES,
-    "alltoall": _DIRECT_TOLERATES,
-    "scatter": _DIRECT_TOLERATES,
-}
+@pytest.mark.parametrize("spec_name,operation", sorted(SCHEDULES))
+def test_schedule_is_pinned(spec_name, operation):
+    runner, _result = record_schedule(SPECS[spec_name], operation)
+    assert_pinned(runner, spec_name, operation)
 
 
-@pytest.mark.parametrize("operation", sorted(ACCEPTS))
+@pytest.mark.parametrize("operation", sorted(OPERATION_PROFILES))
 def test_kwarg_contract(operation):
-    pipeline = get_pipeline(operation)
-    assert pipeline.accepts == ACCEPTS[operation]
-    assert pipeline.tolerates == TOLERATES[operation]
+    """A combined build hands every collective the same knobs.
+
+    ``KNOBS`` already carries ``procs``/``sizes`` (unused by the
+    barrier) and ``gamma_max_procs`` (unused where γ is not measured);
+    this adds ``model_params``, which only the hierarchical models read.
+    The flat schedule must stay the pinned one, and the platform must
+    store the parameters only where its profile's models declare them.
+    """
+    params = {"group_ranks": 2}
+    runner, result = record_schedule(
+        MINICLUSTER, operation, model_params=params
+    )
+    assert_pinned(runner, "minicluster", operation)
+    expected = params if OPERATION_PROFILES[operation].extra_params else {}
+    assert result.platform.model_params == expected

@@ -23,7 +23,6 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.errors import ArtifactError
-from repro.estimation.registry import run_pipeline
 from repro.exec.runner import ParallelRunner
 from repro.selection.codegen import compile_python, generate_c
 from repro.service import (
@@ -32,6 +31,7 @@ from repro.service import (
     ServiceThread,
     build_artifact,
 )
+from repro.service.artifact import calibrate_operation
 from repro.units import KiB, MiB, log_spaced_sizes
 
 GRID_PROCS = tuple(range(2, 17, 2))
@@ -343,7 +343,7 @@ class TestDegenerateCalibration:
         runner = ParallelRunner(jobs=1)
         try:
             with pytest.raises(ArtifactError, match=message):
-                run_pipeline(
+                calibrate_operation(
                     MINICLUSTER, operation, runner=runner, max_reps=3,
                     **kwargs,
                 )

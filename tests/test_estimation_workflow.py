@@ -5,7 +5,6 @@ import pytest
 from repro.clusters import MINICLUSTER
 from repro.errors import EstimationError
 from repro.estimation.workflow import (
-    DEFAULT_QUALITY,
     PlatformModel,
     QualityThresholds,
     calibrate_platform,
@@ -155,31 +154,6 @@ class TestCalibrationQuality:
         )
         failed = mini_calibration.check_quality(gate)
         assert set(failed) == set(mini_calibration.alpha_beta)
-
-    def test_strict_calibration_raises_on_impossible_gate(self):
-        gate = QualityThresholds(
-            max_relative_residual=0.0, min_converged_fraction=1.1
-        )
-        with pytest.raises(EstimationError, match="quality gate"):
-            calibrate_platform(
-                MINICLUSTER,
-                procs=4,
-                sizes=log_spaced_sizes(8 * KiB, 64 * KiB, 3),
-                gamma_max_procs=4,
-                max_reps=3,
-                strict=gate,
-            )
-
-    def test_strict_calibration_passes_default_gate(self):
-        result = calibrate_platform(
-            MINICLUSTER,
-            procs=4,
-            sizes=log_spaced_sizes(8 * KiB, 64 * KiB, 3),
-            gamma_max_procs=4,
-            max_reps=3,
-            strict=DEFAULT_QUALITY,
-        )
-        assert result.check_quality() == []
 
     def test_screening_does_not_change_clean_calibration(self):
         kwargs = dict(

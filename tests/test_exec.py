@@ -340,8 +340,16 @@ class TestPoolCrashRecovery:
             deadline = _time.monotonic() + 10
             while not runner._pool._processes and _time.monotonic() < deadline:
                 _time.sleep(0.01)
-            victim = next(iter(runner._pool._processes))
+            victim, process = next(iter(runner._pool._processes.items()))
             os.kill(victim, signal.SIGKILL)
+            # Let the pool see the death before the batch: otherwise the
+            # surviving worker may finish every slab first and the pool
+            # never breaks.
+            process.join(timeout=10)
+            deadline = _time.monotonic() + 10
+            while not runner._pool._broken and _time.monotonic() < deadline:
+                _time.sleep(0.01)
+            assert runner._pool._broken
             assert runner.run(self.BATCH) == self.expected()
             assert runner.stats.pool_failures >= 1
         finally:

@@ -1,5 +1,11 @@
 """Tests for the MPIBlib-style benchmarking front end."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.clusters import MINICLUSTER
@@ -90,3 +96,32 @@ class TestSweep:
 
     def test_render_empty(self):
         assert render_results([]) == "(no results)"
+
+
+class TestReproducibility:
+    def test_noisy_samples_agree_across_interpreters(self):
+        """Repetition seeds must not depend on the per-process string-hash
+        salt: two fresh interpreters measure the same noisy samples."""
+        code = (
+            "import json\n"
+            "from repro.clusters import GRISOU\n"
+            "from repro.mpiblib import CollectiveBenchmark\n"
+            "bench = CollectiveBenchmark(GRISOU, max_reps=4)\n"
+            "result = bench.run('bcast', 'binomial', procs=8, nbytes=65536)\n"
+            "print(json.dumps(result.stats.samples))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        samples = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(src), env.get("PYTHONPATH")))
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            samples.append(json.loads(result.stdout))
+        assert samples[0] == samples[1]
+        assert len(set(samples[0])) > 1  # the platform is noisy
