@@ -10,7 +10,7 @@ reduce algorithm at every size.
 import pytest
 
 from repro.estimation.workflow import calibrate_platform
-from repro.measure import time_reduce
+from repro.exec.job import SimJob, execute_job
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
 
@@ -45,7 +45,10 @@ def test_extension_reduce_selection(benchmark, gros, reduce_calibration):
     def measured(name, nbytes):
         key = (name, nbytes)
         if key not in cache:
-            cache[key] = time_reduce(gros, name, PROCS, nbytes, 8 * 1024)
+            cache[key] = execute_job(SimJob(
+                gros, "reduce", PROCS, name, nbytes=nbytes,
+                segment_size=8 * 1024, policy="root",
+            ))
         return cache[key]
 
     for choice, nbytes in zip(choices, PAPER_SIZES):

@@ -6,7 +6,7 @@ numbers keep that tractable.
 """
 
 from repro.clusters import GROS, MINICLUSTER
-from repro.measure import time_bcast
+from repro.exec.job import SimJob, execute_job
 from repro.units import KiB, MiB
 
 
@@ -14,9 +14,10 @@ def test_small_bcast_simulation_throughput(benchmark):
     """One 16-rank, 8-segment broadcast: the estimation workload's unit."""
 
     def simulate():
-        return time_bcast(
-            MINICLUSTER.with_noise(0.0), "binomial", 16, 64 * KiB, 8 * KiB
-        )
+        return execute_job(SimJob(
+            MINICLUSTER.with_noise(0.0), "bcast", 16, "binomial",
+            nbytes=64 * KiB, segment_size=8 * KiB,
+        ))
 
     result = benchmark(simulate)
     assert result > 0
@@ -26,7 +27,10 @@ def test_paper_scale_bcast_simulation(benchmark):
     """P=100, 1 MiB chain: among the heaviest single runs in Table 3."""
 
     def simulate():
-        return time_bcast(GROS.with_noise(0.0), "chain", 100, 1 * MiB, 8 * KiB)
+        return execute_job(SimJob(
+            GROS.with_noise(0.0), "bcast", 100, "chain", nbytes=1 * MiB,
+            segment_size=8 * KiB,
+        ))
 
     result = benchmark.pedantic(simulate, rounds=3, iterations=1)
     assert result > 0

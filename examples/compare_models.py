@@ -16,7 +16,7 @@ from repro import GRISOU
 from repro.estimation.alphabeta import estimate_alpha_beta
 from repro.estimation.gamma import estimate_gamma
 from repro.estimation.p2p import estimate_hockney_p2p
-from repro.measure import time_bcast
+from repro.exec import SimJob, default_runner
 from repro.models.derived import DERIVED_BCAST_MODELS
 from repro.models.traditional import TRADITIONAL_BCAST_MODELS
 from repro.units import KiB, MiB, format_bytes, format_seconds, log_spaced_sizes
@@ -51,7 +51,10 @@ def main() -> None:
             f"{'traditional':>12}"
         )
         for nbytes in SIZES:
-            measured = time_bcast(cluster, name, PROCS, nbytes, SEGMENT)
+            measured = default_runner().run_one(SimJob(
+                cluster, "bcast", PROCS, name, nbytes=nbytes,
+                segment_size=SEGMENT,
+            ))
             with_derived = derived.predict(PROCS, nbytes, SEGMENT, fitted.params)
             with_traditional = traditional.predict(
                 PROCS, nbytes, SEGMENT, p2p.params

@@ -17,7 +17,7 @@ Run:  python examples/future_work_reduce.py
 
 from repro.clusters import MINICLUSTER
 from repro.estimation.workflow import calibrate_platform
-from repro.measure import time_reduce
+from repro.exec import SimJob, default_runner
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
 from repro.selection.ompi_fixed import OmpiFixedSelector
@@ -50,9 +50,10 @@ def main() -> None:
     def measured(name: str, nbytes: int, segment: int = 8 * KiB) -> float:
         key = (name, nbytes, segment)
         if key not in measured_cache:
-            measured_cache[key] = time_reduce(
-                cluster, name, PROCS, nbytes, segment
-            )
+            measured_cache[key] = default_runner().run_one(SimJob(
+                cluster, "reduce", PROCS, name, nbytes=nbytes,
+                segment_size=segment, policy="root",
+            ))
         return measured_cache[key]
 
     model_total = ompi_total = 0.0

@@ -9,7 +9,7 @@ Run:  python examples/visualize_trees.py
 """
 
 from repro.clusters import MINICLUSTER
-from repro.measure import time_bcast
+from repro.measure import experiment, run_experiment
 from repro.sim.trace import Tracer
 from repro.topology import (
     build_binary_tree,
@@ -48,8 +48,12 @@ def replay_binomial_broadcast() -> None:
         f"(P={SIZE}, {nbytes // 1024} KB in 3 segments of 8 KB):"
     )
     tracer = Tracer()
-    elapsed = time_bcast(
-        MINICLUSTER, "binomial", SIZE, nbytes, segment, tracer=tracer
+    elapsed = run_experiment(
+        MINICLUSTER,
+        experiment(
+            "bcast", SIZE, "binomial", nbytes=nbytes, segment_size=segment
+        ),
+        tracer=tracer,
     )
     for event in tracer.of_kind("send_post"):
         segment_index = event.tag - 1000

@@ -25,7 +25,6 @@ from repro.estimation import (
     estimate_gamma,
     estimate_hockney_p2p,
 )
-from repro.measure import time_bcast, time_bcast_then_gather, time_gather
 from repro.models import (
     DERIVED_BCAST_MODELS,
     TRADITIONAL_BCAST_MODELS,
@@ -72,7 +71,4 @@ __all__ = [
     "get_preset",
     "ompi_bcast_decision",
     "ompi_reduce_decision",
-    "time_bcast",
-    "time_bcast_then_gather",
-    "time_gather",
 ]

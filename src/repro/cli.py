@@ -15,7 +15,9 @@ Subcommands mirror the paper's workflow:
   + generated code into a versioned, content-hashed artifact;
 * ``serve`` — run the online selection server over an artifact directory;
 * ``cache stats`` / ``cache clear`` — inspect or prune the persistent
-  simulation-result cache.
+  simulation-result cache;
+* ``trace --out F <command>`` — run any other subcommand with span
+  tracing on and write the spans to ``F``.
 
 Simulation-heavy subcommands share three execution flags: ``--jobs N``
 fans simulations out over N worker processes (0 = all cores), and the
@@ -357,9 +359,8 @@ def _cmd_cache(args) -> int:
 def _cmd_trace(args) -> int:
     """Run another repro-mpi command with span tracing enabled.
 
-    Works for *any* subcommand (unlike ``--trace-out``, which only the
-    simulation-heavy commands expose): enable the process-wide recorder,
-    re-enter :func:`main` with the remaining argv, then write the trace.
+    Works for any subcommand: enable the process-wide recorder, re-enter
+    :func:`main` with the remaining argv, then write the trace.
     """
     rest = [token for token in args.rest if token != "--"]
     if not rest:
@@ -415,13 +416,6 @@ def _exec_flags() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="result cache location (default: ~/.cache/repro)",
-    )
-    group.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="record a structured span trace of this run "
-             "(*.jsonl = JSONL, anything else = Chrome trace JSON)",
     )
     return parent
 
@@ -668,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        obs.enable()
     try:
         if hasattr(args, "jobs"):
             # Simulation-heavy command: install the process-wide runner.  The
@@ -686,14 +677,6 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    finally:
-        if trace_out:
-            recorder = obs.get_recorder()
-            path = obs.save_trace(trace_out)
-            count = len(recorder.finished())
-            obs.disable()
-            recorder.clear()
-            print(f"trace: {count} spans written to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -42,19 +42,8 @@ _CATALOGUES: dict[str, dict[str, CollectiveAlgorithm]] = {
 }
 
 
-def register_operation(operation: str, catalogue: dict) -> None:
-    """Register an additional operation's algorithm catalogue.
-
-    Used by the extension collectives (reduce, scatter, allgather) so they
-    appear in the CLI without the registry importing them eagerly.
-    """
-    if operation in _CATALOGUES:
-        raise SelectionError(f"operation {operation!r} already registered")
-    _CATALOGUES[operation] = catalogue
-
-
 def operations() -> list[str]:
-    """Names of all registered collective operations."""
+    """Names of all collective operations."""
     return sorted(_CATALOGUES)
 
 

@@ -18,7 +18,8 @@ from typing import Sequence
 
 from repro.clusters.spec import ClusterSpec
 from repro.errors import EstimationError
-from repro.measure import run_timed, time_p2p_roundtrip
+from repro.exec.job import SimJob, execute_job
+from repro.measure import Experiment, run_experiment
 from repro.models.logp import LogGPParams, LogPParams, PLogPParams
 from repro.units import KiB
 
@@ -48,8 +49,8 @@ def _saturation_gap(spec: ClusterSpec, nbytes: int, burst: int, seed: int) -> fl
                 requests.append(request)
             yield from comm.waitall(requests)
 
-    total = run_timed(
-        spec, program, 2, root=0, seed=seed, policy="root", mapping="spread"
+    total = run_experiment(
+        spec, Experiment(program, 2, policy="root", mapping="spread"), seed=seed
     )
     return total / burst
 
@@ -86,7 +87,10 @@ def measure_logp(
     # Receive overhead is not separately observable from outside the
     # receiver; the classical method assumes symmetry.
     recv_overhead = send_overhead
-    round_trip_half = time_p2p_roundtrip(spec, nbytes, seed=seed + 2)
+    round_trip_half = execute_job(SimJob(
+        spec, "p2p_roundtrip", 2, nbytes=nbytes, seed=seed + 2,
+        mapping="spread",
+    ))
     latency = max(round_trip_half - send_overhead - recv_overhead, 0.0)
     return LogPParams(
         latency=latency,
@@ -139,7 +143,10 @@ def measure_plogp(
     }
     tiny = sizes[0]
     latency = max(
-        time_p2p_roundtrip(spec, tiny, seed=seed + 5)
+        execute_job(SimJob(
+            spec, "p2p_roundtrip", 2, nbytes=tiny, seed=seed + 5,
+            mapping="spread",
+        ))
         - 2 * overhead_table[tiny],
         0.0,
     )

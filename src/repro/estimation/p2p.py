@@ -28,8 +28,8 @@ DEFAULT_P2P_SIZES = tuple(log_spaced_sizes(8 * KiB, 4 * MiB, 10))
 
 
 def _p2p_job(spec: ClusterSpec, nbytes: int, rep_seed: int) -> SimJob:
-    # time_p2p_roundtrip defaults to spread mapping; mirror it here so the
-    # job fingerprints the experiment actually run.
+    # Spread mapping: the measured link is a network link even on
+    # clusters with several ranks per node.
     return SimJob(
         spec=spec,
         kind="p2p_roundtrip",

@@ -1,37 +1,63 @@
 """The unit of work of the execution subsystem: one deterministic simulation.
 
-Every paper artefact decomposes into independent single-simulation calls
-(:func:`repro.measure.run_timed` under one of the timed-experiment wrappers).
-A :class:`SimJob` captures *everything* that determines such a call's result
-— the platform (via :meth:`ClusterSpec.fingerprint`), the program kind and
-its parameters, the seed, the timing policy and the rank mapping — so that
+Every paper artefact decomposes into independent timed experiments, each
+one simulation of one rank program.  A :class:`SimJob` names such an
+experiment and captures *everything* that determines its result — the
+platform (via :meth:`ClusterSpec.fingerprint`), the program kind and its
+parameters, the seed, the timing policy and the rank mapping — so that
 
 * a job can be shipped to a worker process and executed there (jobs
   are frozen dataclasses, hence picklable), and
 * a job can be *fingerprinted*: equal fingerprints guarantee bit-identical
   results, which is what makes the persistent result cache sound.
 
-Job kinds map one-to-one onto the experiment programs of
-:mod:`repro.measure` (:func:`repro.measure.job_experiment` is the one
-job→program table):
+Job kinds map one-to-one onto the rank programs of :mod:`repro.measure`
+(:func:`repro.measure.job_experiment` is the one job→program table).
+Kinds marked *root* are timed on the root's clock whatever ``policy``
+asks; the others follow ``policy`` (``"global"``, the default: until the
+last rank finishes).  ``mapping`` reaches ``bcast``,
+``bcast_barrier_reps`` and ``p2p_roundtrip``; the other kinds run
+block-mapped.
 
-========================  ==================================================
-kind                      measurement
-========================  ==================================================
-``bcast``                 :func:`repro.measure.time_bcast`
-``bcast_then_gather``     :func:`repro.measure.time_bcast_then_gather`
-``bcast_barrier_reps``    :func:`repro.measure.time_repeated_bcast_with_barriers`
-``barrier_reps``          :func:`repro.measure.time_repeated_barrier`
-``gather``                :func:`repro.measure.time_gather`
-``reduce``                :func:`repro.measure.time_reduce`
-``reduce_then_scatter``   :func:`repro.measure.time_reduce_then_scatter`
-``barrier``               :func:`repro.measure.time_barrier`
-``scatter``               :func:`repro.measure.time_scatter`
-``allreduce``             :func:`repro.measure.time_allreduce`
-``allgather``             :func:`repro.measure.time_allgather`
-``alltoall``              :func:`repro.measure.time_alltoall`
-``p2p_roundtrip``         :func:`repro.measure.time_p2p_roundtrip`
-========================  ==================================================
+========================  ======  ===========================================
+kind                      timed   measurement
+========================  ======  ===========================================
+``bcast``                 policy  one broadcast of ``nbytes`` (Table 3,
+                                  Fig. 5)
+``bcast_then_gather``     root    the paper's α/β experiment (§4.2, Eq. 7):
+                                  the broadcast under test, then a linear
+                                  gather of ``gather_bytes`` per rank onto
+                                  the root, so it starts and finishes there
+``bcast_barrier_reps``    root    the γ experiment kernel (§4.1),
+                                  ``T1(P, N)``: ``calls`` broadcasts, each
+                                  followed by a barrier, from the first call
+                                  to the completion of the last barrier
+``barrier_reps``          root    ``calls`` back-to-back barriers; the
+                                  barrier share compensated out of the γ
+                                  experiment
+``gather``                policy  one gather of ``nbytes`` per rank; it ends
+                                  on the root, so ``policy="root"`` times it
+``reduce``                policy  one reduction; it ends on the root, so
+                                  ``policy="root"`` times it
+``reduce_then_scatter``   root    the reduce α/β experiment, dual of
+                                  ``bcast_then_gather``: the reduce under
+                                  test, then a linear scatter of
+                                  ``gather_bytes`` per rank, which adds the
+                                  same ``(P-1, (P-1)·m_g)`` row the gather
+                                  does
+``barrier``               policy  one barrier
+``scatter``               policy  one scatter of ``nbytes`` per rank; it
+                                  ends on the leaves, so time it globally
+``allreduce``             policy  one allreduce of an ``nbytes`` full vector
+``allgather``             policy  one allgather of ``nbytes`` per rank
+``alltoall``              policy  one alltoall of ``nbytes`` per pair
+``p2p_roundtrip``         root    half a ping-pong round trip between
+                                  ``ranks`` (Hockney's method, §2.2), the
+                                  point-to-point experiment the paper argues
+                                  is insufficient for collectives; map it
+                                  ``spread`` so the measured link is a
+                                  network link on multi-slot clusters
+========================  ======  ===========================================
 """
 
 from __future__ import annotations

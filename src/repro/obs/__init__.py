@@ -25,12 +25,11 @@ span name                   emitted by
 ==========================  =============================================
 
 Collection is off by default and costs one attribute check per span site;
-``obs.enable()`` (or the CLI's ``--trace-out`` / ``repro-mpi trace``)
+``obs.enable()`` (or the CLI's ``repro-mpi trace --out F <command>``)
 turns it on.  ``obs.save_trace(path)`` writes JSONL (``.jsonl``) or a
 Chrome trace (anything else).
 """
 
-from repro.obs.bridge import SpanMetricsBridge
 from repro.obs.export import (
     build_tree,
     load_chrome_trace,
@@ -54,7 +53,6 @@ from repro.obs.spans import (
     is_enabled,
     new_trace_id,
     span,
-    traced,
 )
 
 
@@ -66,7 +64,6 @@ def save_trace(path):
 __all__ = [
     "NULL_SPAN",
     "Span",
-    "SpanMetricsBridge",
     "SpanRecorder",
     "build_tree",
     "current_span",
@@ -86,5 +83,4 @@ __all__ = [
     "to_chrome_events",
     "to_chrome_json",
     "to_jsonl",
-    "traced",
 ]

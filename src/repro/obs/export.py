@@ -131,8 +131,8 @@ def build_tree(records: Sequence[dict]) -> list[dict]:
     """Nest span dicts (from :func:`load_jsonl` or ``to_dict``) by parent.
 
     Returns the roots; every node gains a ``"children"`` list.  Orphans
-    (parent not in the record set — e.g. the parent outlived a streaming
-    export) are promoted to roots rather than dropped.
+    (parent not in the record set — e.g. the parent was still open when
+    the trace was saved) are promoted to roots rather than dropped.
     """
     by_id = {record["span_id"]: dict(record, children=[]) for record in records}
     roots: list[dict] = []

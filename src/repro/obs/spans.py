@@ -24,10 +24,7 @@ Typical use::
     with obs.span("artifact.build", cluster="gros") as sp:
         ...
         sp.set_attr("operations", 2)
-    obs.save("build-trace.json")        # chrome://tracing / Perfetto
-
-    @obs.traced("estimate.gamma")
-    def estimate_gamma(...): ...
+    obs.save_trace("build-trace.json")  # chrome://tracing / Perfetto
 """
 
 from __future__ import annotations
@@ -222,9 +219,9 @@ class _SpanContext:
 class SpanRecorder:
     """Collects finished spans; thread-safe; disabled by default.
 
-    ``enabled`` controls *retention* (and JSONL streaming); finish hooks
-    — e.g. the span-to-metrics bridge — always run, even for forced spans
-    recorded while tracing is off.
+    ``enabled`` controls *retention*; finish hooks — e.g. the drift
+    loop's query sampler — always run, even for forced spans recorded
+    while tracing is off.
     """
 
     def __init__(self, enabled: bool = False):
@@ -234,7 +231,6 @@ class SpanRecorder:
         self.origin = time.perf_counter()
         self._lock = threading.Lock()
         self._hooks: list[Callable[[Span], None]] = []
-        self._stream = None  # open file handle for JSONL streaming
 
     # -- span creation -----------------------------------------------------
 
@@ -259,24 +255,6 @@ class SpanRecorder:
             ),
         )
 
-    def traced(self, name: str | None = None, **attributes):
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorate(func):
-            span_name = name or f"{func.__module__}.{func.__qualname__}"
-
-            def wrapper(*args, **kwargs):
-                with self.span(span_name, **attributes):
-                    return func(*args, **kwargs)
-
-            wrapper.__name__ = func.__name__
-            wrapper.__qualname__ = func.__qualname__
-            wrapper.__doc__ = func.__doc__
-            wrapper.__wrapped__ = func
-            return wrapper
-
-        return decorate
-
     def current(self) -> Span | None:
         """The innermost live span of this thread/task, if any."""
         return _current.get()
@@ -287,10 +265,6 @@ class SpanRecorder:
         if self.enabled:
             with self._lock:
                 self.spans.append(span)
-                if self._stream is not None:
-                    import json
-
-                    self._stream.write(json.dumps(span.to_dict()) + "\n")
         for hook in self._hooks:
             try:
                 hook(span)
@@ -310,19 +284,14 @@ class SpanRecorder:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def enable(self, stream_path=None) -> "SpanRecorder":
-        """Start retaining spans (optionally streaming JSONL to a path)."""
+    def enable(self) -> "SpanRecorder":
+        """Start retaining spans."""
         self.enabled = True
         self.origin = time.perf_counter()
-        if stream_path is not None:
-            self._stream = open(stream_path, "a", encoding="utf-8")
         return self
 
     def disable(self) -> None:
         self.enabled = False
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
 
     def clear(self) -> None:
         with self._lock:
@@ -348,9 +317,9 @@ def get_recorder() -> SpanRecorder:
     return _recorder
 
 
-def enable(stream_path=None) -> SpanRecorder:
+def enable() -> SpanRecorder:
     """Turn span collection on process-wide; returns the recorder."""
-    return _recorder.enable(stream_path)
+    return _recorder.enable()
 
 
 def disable() -> None:
@@ -364,11 +333,6 @@ def is_enabled() -> bool:
 def span(name: str, *, force: bool = False, **attributes):
     """Open a span on the process-wide recorder (context manager)."""
     return _recorder.span(name, force=force, **attributes)
-
-
-def traced(name: str | None = None, **attributes):
-    """Decorator tracing calls through the process-wide recorder."""
-    return _recorder.traced(name, **attributes)
 
 
 def current_span() -> Span | None:

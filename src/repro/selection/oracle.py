@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.clusters.spec import ClusterSpec
-from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
 from repro.errors import SelectionError
+from repro.estimation.alphabeta import OPERATION_PROFILES
 from repro.estimation.statistics import adaptive_measure
 from repro.exec.job import SimJob
 from repro.exec.runner import ParallelRunner, default_runner
@@ -86,22 +86,6 @@ def stable_key_hash(key: tuple) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-#: The simulation job kind measuring one call of each collective.
-ORACLE_JOB_KINDS = {
-    "bcast": "bcast",
-    "reduce": "reduce",
-    "gather": "gather",
-    "barrier": "barrier",
-    "allreduce": "allreduce",
-    "allgather": "allgather",
-    "alltoall": "alltoall",
-    "scatter": "scatter",
-}
-
-#: Operations whose algorithms take a segment size.
-SEGMENTED_OPERATIONS = ("bcast", "reduce")
-
-
 class MeasuredOracle:
     """Exhaustive measurement: the empirically optimal algorithm.
 
@@ -109,9 +93,12 @@ class MeasuredOracle:
     so Table 3 and Fig. 5 share measurements.
 
     ``operation`` picks the collective under test (default ``"bcast"``,
-    the paper's experiment); candidate algorithms default to the paper's
-    six for broadcast and to the operation's full catalogue otherwise.
-    Unsegmented operations (gather, barrier) force ``segment_size=0``.
+    the paper's experiment) and is also the job kind timing one call.
+    Its :data:`~repro.estimation.alphabeta.OPERATION_PROFILES` row gives
+    the default candidates (the calibrated ones: the paper's six for
+    broadcast, the flat algorithms for reduce, the full catalogue
+    otherwise) and whether algorithms take a segment size; unsegmented
+    operations force ``segment_size=0``.
     """
 
     #: Repetitions prefetched per measurement before the adaptive loop runs.
@@ -132,31 +119,20 @@ class MeasuredOracle:
         seed: int = 0,
         runner: ParallelRunner | None = None,
     ):
-        if operation not in ORACLE_JOB_KINDS:
+        profile = OPERATION_PROFILES.get(operation)
+        if profile is None:
             raise SelectionError(
                 f"no measured oracle for operation {operation!r}; "
-                f"known: {', '.join(sorted(ORACLE_JOB_KINDS))}"
+                f"known: {', '.join(sorted(OPERATION_PROFILES))}"
             )
         self.spec = spec
         self.operation = operation
-        if algorithms is not None:
-            self.algorithms = list(algorithms)
-        elif operation == "bcast":
-            # Default to the paper's six algorithms so Table 3 / Fig. 5 stay
-            # faithful; pass an explicit list to include extension algorithms.
-            self.algorithms = sorted(PAPER_BCAST_ALGORITHMS)
-        elif operation == "reduce":
-            # Same contract: topology-aware extensions are opt-in.
-            from repro.collectives.reduce import DEFAULT_REDUCE_ALGORITHMS
-
-            self.algorithms = sorted(DEFAULT_REDUCE_ALGORITHMS)
-        else:
-            from repro.collectives.registry import algorithm_names
-
-            self.algorithms = algorithm_names(operation)
-        self.segment_size = (
-            segment_size if operation in SEGMENTED_OPERATIONS else 0
+        self.algorithms = (
+            sorted(profile.default_algorithms)
+            if algorithms is None
+            else list(algorithms)
         )
+        self.segment_size = segment_size if profile.segmented else 0
         self.precision = precision
         self.max_reps = max_reps
         self.seed = seed
@@ -185,7 +161,7 @@ class MeasuredOracle:
             )
         return SimJob(
             spec=self.spec,
-            kind=ORACLE_JOB_KINDS[self.operation],
+            kind=self.operation,
             procs=procs,
             algorithm=algorithm,
             nbytes=nbytes,

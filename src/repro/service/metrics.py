@@ -300,9 +300,8 @@ class ServiceMetrics:
     def observe_request_span(self, span) -> None:
         """Feed the request metrics from one finished ``http.request`` span.
 
-        The span is the single timing source for the serving layer (see
-        :mod:`repro.obs.bridge`): its monotonic duration lands in the
-        latency histogram and its ``endpoint``/``status`` attributes label
+        The span is the single timing source for the serving layer: its
+        monotonic duration lands in the latency histogram and its ``endpoint``/``status`` attributes label
         the request counter, so traces and metrics can never disagree
         about what was measured.
         """

@@ -756,11 +756,10 @@ class _HttpProtocol(asyncio.Protocol):
         recorder = obs.get_recorder()
         # The timer and trace-id source.  A forced ``http.request`` span
         # has observable effects only when someone is listening: the
-        # recorder retains it, a finish hook (e.g. a span-to-metrics
-        # bridge) runs on it, or the query sampler nests ``select.query``
-        # spans under it.  Otherwise the span is pure per-request
-        # overhead, so time the request by hand with the same clock and
-        # trace-id source instead.
+        # recorder retains it, a finish hook runs on it, or the query
+        # sampler nests ``select.query`` spans under it.  Otherwise the
+        # span is pure per-request overhead, so time the request by hand
+        # with the same clock and trace-id source instead.
         if recorder.enabled or recorder._hooks or service.sampler is not None:
             with obs.span(
                 "http.request", force=True, method=method, endpoint=path

@@ -183,7 +183,7 @@ class _Recv:
 
 def _finish_times(world, program) -> list[float]:
     """Every rank's finish time of ``program`` on ``world``, replayed in
-    the event loop's order; raises like ``run_timed`` would.
+    the event loop's order; raises like ``run_experiment`` would.
 
     One dispatch loop over ``(time, seq, code, arg)`` events; ``seq``
     counts schedulings, so equal times fire in scheduling order, as in

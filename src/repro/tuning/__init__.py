@@ -34,9 +34,6 @@ from repro.tuning.guidelines import (
     GuidelineViolation,
     check_guidelines,
     default_guidelines,
-    register_guideline,
-    registered_guidelines,
-    unregister_guideline,
     verify_guidelines,
 )
 from repro.tuning.recalibrate import rebuild_artifact
@@ -59,8 +56,5 @@ __all__ = [
     "diff_artifacts",
     "format_diff",
     "rebuild_artifact",
-    "register_guideline",
-    "registered_guidelines",
-    "unregister_guideline",
     "verify_guidelines",
 ]

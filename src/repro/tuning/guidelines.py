@@ -12,8 +12,8 @@ it is a concrete calibration or selection bug, pinpointed to an
 ``(operation, P, m)`` cell.
 
 This module applies that idea to a packaged
-:class:`~repro.service.artifact.SelectionArtifact`: every registered
-:class:`Guideline` is evaluated against the artifact's *model
+:class:`~repro.service.artifact.SelectionArtifact`: every built-in (or
+passed-in) :class:`Guideline` is evaluated against the artifact's *model
 predictions of its own packaged decisions* across the full ``(P, m)``
 decision grid.  Three families ship built in:
 
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import GuidelineViolationError, TuningError
+from repro.errors import GuidelineViolationError
 
 __all__ = [
     "DEFAULT_SLACK",
@@ -50,9 +50,6 @@ __all__ = [
     "GuidelineViolation",
     "check_guidelines",
     "default_guidelines",
-    "register_guideline",
-    "registered_guidelines",
-    "unregister_guideline",
     "verify_guidelines",
 ]
 
@@ -309,9 +306,9 @@ class MockupTerm:
     count: Callable[[int], int] = lambda procs: 1
 
 
-def _mockup_check(
+def _mockup(
     lhs_op: str, terms: Sequence[MockupTerm], description: str
-) -> Callable[[object, float], list[GuidelineViolation]]:
+) -> Guideline:
     """A mock-up inequality: lhs(m) <= sum(count_i * rhs_i(size_i(m))).
 
     Evaluated on the lhs operation's grid; the rhs operations answer via
@@ -352,60 +349,14 @@ def _mockup_check(
                 )
         return violations
 
-    return check
-
-
-_GUIDELINES: dict[str, Guideline] = {}
-
-
-def register_guideline(guideline: Guideline, *, replace: bool = False) -> None:
-    """Add a guideline to the catalogue (refuses silent shadowing)."""
-    if guideline.name in _GUIDELINES and not replace:
-        raise TuningError(
-            f"guideline {guideline.name!r} already registered; "
-            "pass replace=True to override"
-        )
-    _GUIDELINES[guideline.name] = guideline
-
-
-def unregister_guideline(name: str) -> None:
-    _GUIDELINES.pop(name, None)
-
-
-def registered_guidelines() -> list[str]:
-    """Names of all catalogued guidelines, sorted."""
-    return sorted(_GUIDELINES)
-
-
-def default_guidelines() -> list[Guideline]:
-    """The full catalogue, deterministic order."""
-    return [_GUIDELINES[name] for name in sorted(_GUIDELINES)]
-
-
-register_guideline(
-    Guideline(
-        name="selection_optimal",
-        description="every stored table choice is model-optimal at its cell",
-        requires=frozenset(),
-        check=_check_selection_optimal,
+    return Guideline(
+        name=name,
+        description=description,
+        requires=frozenset({lhs_op, *(t.operation for t in terms)}),
+        check=check,
     )
-)
-register_guideline(
-    Guideline(
-        name="monotone_in_size",
-        description="predicted time never decreases with the message size",
-        requires=frozenset(),
-        check=_check_monotone_in_size,
-    )
-)
-register_guideline(
-    Guideline(
-        name="split_robustness",
-        description="t(k*m) <= k*t(m) along the size grid",
-        requires=frozenset(),
-        check=_check_split_robustness,
-    )
-)
+
+
 def _per_rank_block(procs: int, nbytes: int) -> int:
     """The lhs full vector split into per-rank blocks: ``ceil(m / P)``."""
     return -(-nbytes // procs)
@@ -417,8 +368,8 @@ def _per_rank_block(procs: int, nbytes: int) -> int:
 #: per-pair block).  Every collective of the suite calibrates, so a full
 #: eight-collective build checks all five; narrower artifacts report the
 #: inapplicable ones as skipped, not silently dropped.
-for _lhs, _terms, _description in (
-    (
+_MOCKUPS = (
+    _mockup(
         "bcast",
         (
             MockupTerm("scatter", size=_per_rank_block),
@@ -426,46 +377,79 @@ for _lhs, _terms, _description in (
         ),
         "bcast(m) <= scatter(ceil(m/P)) + allgather(ceil(m/P))",
     ),
-    (
+    _mockup(
         "scatter",
         (MockupTerm("alltoall"),),
         "scatter(m) <= alltoall(m)",
     ),
-    (
+    _mockup(
         "gather",
         (MockupTerm("allgather"),),
         "gather(m) <= allgather(m)",
     ),
-    (
+    _mockup(
         "reduce",
         (MockupTerm("allreduce"),),
         "reduce(m) <= allreduce(m)",
     ),
-    (
+    _mockup(
         "alltoall",
         (MockupTerm("scatter", count=lambda procs: procs),),
         "alltoall(m) <= P * scatter(m)",
     ),
-):
-    register_guideline(
-        Guideline(
-            name=f"{_lhs}_le_{'_plus_'.join(t.operation for t in _terms)}",
-            description=_description,
-            requires=frozenset({_lhs, *(t.operation for t in _terms)}),
-            check=_mockup_check(_lhs, _terms, _description),
-        )
+)
+
+#: The built-in catalogue, sorted by name: three per-operation sanity
+#: checks and the five mock-ups.
+DEFAULT_GUIDELINES: tuple[Guideline, ...] = tuple(
+    sorted(
+        (
+            Guideline(
+                name="selection_optimal",
+                description=(
+                    "every stored table choice is model-optimal at its cell"
+                ),
+                requires=frozenset(),
+                check=_check_selection_optimal,
+            ),
+            Guideline(
+                name="monotone_in_size",
+                description=(
+                    "predicted time never decreases with the message size"
+                ),
+                requires=frozenset(),
+                check=_check_monotone_in_size,
+            ),
+            Guideline(
+                name="split_robustness",
+                description="t(k*m) <= k*t(m) along the size grid",
+                requires=frozenset(),
+                check=_check_split_robustness,
+            ),
+            *_MOCKUPS,
+        ),
+        key=lambda guideline: guideline.name,
     )
-del _lhs, _terms, _description
+)
 
 
-def _count_cells(artifact, names: Sequence[str]) -> int:
+def default_guidelines() -> tuple[Guideline, ...]:
+    """The built-in catalogue, sorted by name.
+
+    A custom guideline joins it per call:
+    ``verify_guidelines(artifact, guidelines=[*default_guidelines(), mine])``.
+    """
+    return DEFAULT_GUIDELINES
+
+
+def _count_cells(artifact, guidelines: Sequence[Guideline]) -> int:
     per_op = {
         operation: len(entry.table.proc_points) * len(entry.table.size_points)
         for operation, entry in artifact.entries.items()
     }
     total = 0
-    for name in names:
-        requires = _GUIDELINES[name].requires
+    for guideline in guidelines:
+        requires = guideline.requires
         if requires:
             total += per_op.get(next(iter(requires)), 0)
         else:
@@ -485,7 +469,7 @@ def verify_guidelines(
     :func:`check_guidelines` for the refusing gate.
     """
     chosen = list(guidelines) if guidelines is not None else default_guidelines()
-    checked: list[str] = []
+    checked: list[Guideline] = []
     skipped: dict[str, str] = {}
     violations: list[GuidelineViolation] = []
     present = set(artifact.operations)
@@ -496,12 +480,12 @@ def verify_guidelines(
                 f"artifact has no {', '.join(missing)} table"
             )
             continue
-        checked.append(guideline.name)
+        checked.append(guideline)
         violations.extend(guideline.check(artifact, slack))
     violations.sort(key=lambda v: (-v.margin, v.guideline, v.operation))
     return GuidelineReport(
         artifact_id=artifact.artifact_id,
-        checked=tuple(checked),
+        checked=tuple(guideline.name for guideline in checked),
         skipped=skipped,
         cells=_count_cells(artifact, checked),
         violations=tuple(violations),

@@ -14,7 +14,7 @@ import pytest
 from repro.clusters import MINICLUSTER
 from repro.estimation.alphabeta import estimate_alpha_beta
 from repro.estimation.workflow import calibrate_platform
-from repro.measure import time_barrier
+from repro.exec.job import SimJob, execute_job
 from repro.models.barrier_models import DERIVED_BARRIER_MODELS
 from repro.models.gamma import GammaFunction
 from repro.selection.model_based import ModelBasedSelector
@@ -80,7 +80,7 @@ class TestBarrierCalibration:
             max_reps=3,
         ).params
         predicted = model.coefficients(16).c_alpha * params.alpha
-        measured = time_barrier(MINICLUSTER, "bruck", 16)
+        measured = execute_job(SimJob(MINICLUSTER, "barrier", 16, "bruck"))
         assert predicted == pytest.approx(measured, rel=0.35)
 
     def test_selection_avoids_the_catastrophic_algorithm(self, platform):
@@ -96,7 +96,7 @@ class TestBarrierCalibration:
         selector = ModelBasedSelector(platform)
         for procs in (4, 8, 16):
             times = {
-                name: time_barrier(MINICLUSTER, name, procs)
+                name: execute_job(SimJob(MINICLUSTER, "barrier", procs, name))
                 for name in platform.algorithms
             }
             pick = selector.select(procs, 0)

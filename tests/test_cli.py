@@ -220,3 +220,18 @@ class TestCommands:
         path.write_text(json.dumps(data))
         assert main(["artifact", "verify", str(path)]) == 1
         assert "hash mismatch" in capsys.readouterr().err
+
+    def test_trace_records_spans_of_any_subcommand(self, capsys, tmp_path):
+        from repro import obs
+
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "trace", "--out", str(trace),
+            "artifact", "build", "--cluster", "minicluster",
+            "--output", str(tmp_path / "a.json"), "--procs", "6",
+            "--max-procs", "8", "--max-reps", "3", "--no-cache",
+        ]) == 0
+        names = {record["name"] for record in obs.load_jsonl(trace)}
+        assert "artifact.build" in names
+        assert "spans written to" in capsys.readouterr().err
+        assert not obs.is_enabled()

@@ -103,17 +103,21 @@ class TestWorldConstruction:
 
 class TestDeterminism:
     def test_same_seed_same_measurement(self):
-        from repro.measure import time_bcast
+        from repro.exec.job import SimJob, execute_job
         from repro.units import KiB
 
-        a = time_bcast(GRISOU, "binomial", 8, 64 * KiB, 8 * KiB, seed=3)
-        b = time_bcast(GRISOU, "binomial", 8, 64 * KiB, 8 * KiB, seed=3)
+        a = execute_job(SimJob(GRISOU, "bcast", 8, "binomial", nbytes=64 * KiB,
+                               segment_size=8 * KiB, seed=3))
+        b = execute_job(SimJob(GRISOU, "bcast", 8, "binomial", nbytes=64 * KiB,
+                               segment_size=8 * KiB, seed=3))
         assert a == b
 
     def test_different_seed_different_measurement_with_noise(self):
-        from repro.measure import time_bcast
+        from repro.exec.job import SimJob, execute_job
         from repro.units import KiB
 
-        a = time_bcast(GRISOU, "binomial", 8, 64 * KiB, 8 * KiB, seed=3)
-        b = time_bcast(GRISOU, "binomial", 8, 64 * KiB, 8 * KiB, seed=4)
+        a = execute_job(SimJob(GRISOU, "bcast", 8, "binomial", nbytes=64 * KiB,
+                               segment_size=8 * KiB, seed=3))
+        b = execute_job(SimJob(GRISOU, "bcast", 8, "binomial", nbytes=64 * KiB,
+                               segment_size=8 * KiB, seed=4))
         assert a != b

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.collectives.alltoall import ALLTOALL_ALGORITHMS
-from repro.measure import run_timed
+from repro.measure import Experiment, run_experiment
 from repro.sim.trace import Tracer
 from repro.units import KiB
 
@@ -18,7 +18,7 @@ def run_alltoall(name, procs, nbytes, tracer=None):
     def program(comm):
         yield from algorithm(comm, nbytes)
 
-    return run_timed(MINICLUSTER, program, procs, tracer=tracer)
+    return run_experiment(MINICLUSTER, Experiment(program, procs), tracer=tracer)
 
 
 class TestCorrectness:

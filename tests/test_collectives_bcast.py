@@ -16,7 +16,8 @@ from repro.collectives.bcast import (
     TAG_BCAST_XCHG,
     _split_halves,
 )
-from repro.measure import time_bcast
+from repro.exec.job import SimJob, execute_job
+from repro.measure import experiment, run_experiment
 from repro.mpi.segmentation import plan_segments
 from repro.sim.trace import Tracer
 from repro.units import KiB
@@ -29,8 +30,12 @@ SEGMENT = 8 * KiB
 
 def traced_bcast(algorithm, procs, nbytes, segment_size=SEGMENT, root=0):
     tracer = Tracer()
-    elapsed = time_bcast(
-        MINICLUSTER, algorithm, procs, nbytes, segment_size, root=root,
+    elapsed = run_experiment(
+        MINICLUSTER,
+        experiment(
+            "bcast", procs, algorithm, nbytes=nbytes,
+            segment_size=segment_size, root=root,
+        ),
         tracer=tracer,
     )
     return elapsed, tracer
@@ -162,11 +167,14 @@ class TestPipelining:
     def test_chain_overlaps_segments(self):
         """A segmented chain must be far faster than segment-by-segment."""
         procs, nbytes = 8, 512 * KiB
-        pipelined = time_bcast(MINICLUSTER, "chain", procs, nbytes, SEGMENT)
-        sequential_estimate = (
-            time_bcast(MINICLUSTER, "chain", procs, SEGMENT, SEGMENT)
-            * (nbytes // SEGMENT)
-        )
+        pipelined = execute_job(SimJob(
+            MINICLUSTER, "bcast", procs, "chain", nbytes=nbytes,
+            segment_size=SEGMENT,
+        ))
+        sequential_estimate = execute_job(SimJob(
+            MINICLUSTER, "bcast", procs, "chain", nbytes=SEGMENT,
+            segment_size=SEGMENT,
+        )) * (nbytes // SEGMENT)
         assert pipelined < 0.5 * sequential_estimate
 
     def test_root_fanout_sends_are_nonblocking(self):
@@ -232,14 +240,24 @@ class TestRelativePerformance:
     def test_linear_worst_at_large_message_many_procs(self):
         nbytes = 1024 * KiB
         times = {
-            a: time_bcast(MINICLUSTER, a, 16, nbytes, SEGMENT) for a in ALGORITHMS
+            a: execute_job(SimJob(
+                MINICLUSTER, "bcast", 16, a, nbytes=nbytes,
+                segment_size=SEGMENT,
+            ))
+            for a in ALGORITHMS
         }
         assert max(times, key=times.get) == "linear"
 
     def test_trees_beat_chain_at_small_messages(self):
         small = 8 * KiB
-        chain = time_bcast(MINICLUSTER, "chain", 16, small, SEGMENT)
-        binomial = time_bcast(MINICLUSTER, "binomial", 16, small, SEGMENT)
+        chain = execute_job(SimJob(
+            MINICLUSTER, "bcast", 16, "chain", nbytes=small,
+            segment_size=SEGMENT,
+        ))
+        binomial = execute_job(SimJob(
+            MINICLUSTER, "bcast", 16, "binomial", nbytes=small,
+            segment_size=SEGMENT,
+        ))
         assert binomial < chain
 
 
@@ -284,7 +302,10 @@ class TestScatterAllgather:
         """
         procs, nbytes = 16, 8 * 1024 * KiB
         times = {
-            name: time_bcast(MINICLUSTER, name, procs, nbytes, SEGMENT)
+            name: execute_job(SimJob(
+                MINICLUSTER, "bcast", procs, name, nbytes=nbytes,
+                segment_size=SEGMENT,
+            ))
             for name in ("linear", "binomial", "k_chain", "scatter_allgather")
         }
         assert min(times, key=times.get) == "scatter_allgather"
@@ -354,8 +375,10 @@ class TestZeroByteConvention:
             assert model.predict(8, 0, 0, params) > 0.0, name
 
     def test_reduce_is_a_noop_too(self):
-        from repro.measure import time_reduce
         from repro.collectives.reduce import REDUCE_ALGORITHMS
 
         for name in REDUCE_ALGORITHMS:
-            assert time_reduce(MINICLUSTER, name, 8, 0, SEGMENT) == 0.0, name
+            assert execute_job(SimJob(
+                MINICLUSTER, "reduce", 8, name, segment_size=SEGMENT,
+                policy="root",
+            )) == 0.0, name

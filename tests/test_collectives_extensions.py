@@ -9,7 +9,7 @@ from repro.collectives.allgather import ALLGATHER_ALGORITHMS
 from repro.collectives.allreduce import ALLREDUCE_ALGORITHMS
 from repro.collectives.reduce import REDUCE_ALGORITHMS
 from repro.collectives.scatter import SCATTER_ALGORITHMS
-from repro.measure import run_timed
+from repro.measure import Experiment, run_experiment
 from repro.sim.trace import Tracer
 from repro.units import KiB
 
@@ -20,7 +20,9 @@ def run_collective(program_factory, procs, root=0, tracer=None):
     def program(comm):
         yield from program_factory(comm)
 
-    return run_timed(MINICLUSTER, program, procs, root=root, tracer=tracer)
+    return run_experiment(
+        MINICLUSTER, Experiment(program, procs, root=root), tracer=tracer
+    )
 
 
 class TestReduce:

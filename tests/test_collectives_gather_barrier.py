@@ -7,7 +7,8 @@ import pytest
 from repro.clusters import MINICLUSTER
 from repro.collectives.barrier import BARRIER_ALGORITHMS
 from repro.collectives.gather import GATHER_ALGORITHMS
-from repro.measure import run_timed, time_gather
+from repro.exec.job import SimJob, execute_job
+from repro.measure import Experiment, run_experiment
 from repro.sim.trace import Tracer
 from repro.units import KiB
 
@@ -19,7 +20,7 @@ class TestLinearGather:
         def program(comm):
             yield from GATHER_ALGORITHMS["linear"](comm, 0, 4 * KiB)
 
-        run_timed(MINICLUSTER, program, 8, tracer=tracer)
+        run_experiment(MINICLUSTER, Experiment(program, 8), tracer=tracer)
         sources = sorted(
             e.peer for e in tracer.of_kind("recv_complete") if e.rank == 0
         )
@@ -28,16 +29,22 @@ class TestLinearGather:
     def test_cost_scales_linearly_with_procs(self):
         """The (P-1) structure of paper Eq. 8."""
         m_g = 16 * KiB
-        t4 = time_gather(MINICLUSTER, "linear", 4, m_g)
-        t8 = time_gather(MINICLUSTER, "linear", 8, m_g)
-        t16 = time_gather(MINICLUSTER, "linear", 16, m_g)
+        t4, t8, t16 = (
+            execute_job(SimJob(
+                MINICLUSTER, "gather", procs, "linear", nbytes=m_g,
+                policy="root",
+            ))
+            for procs in (4, 8, 16)
+        )
         # Increments should be roughly equal: T(P) ~ const + (P-1) * c.
         first_increment = (t8 - t4) / 4
         second_increment = (t16 - t8) / 8
         assert second_increment == pytest.approx(first_increment, rel=0.3)
 
     def test_single_process_noop(self):
-        assert time_gather(MINICLUSTER, "linear", 1, 4 * KiB) == 0.0
+        assert execute_job(SimJob(
+            MINICLUSTER, "gather", 1, "linear", nbytes=4 * KiB, policy="root"
+        )) == 0.0
 
     def test_non_root_sends_exactly_once(self):
         tracer = Tracer()
@@ -45,7 +52,9 @@ class TestLinearGather:
         def program(comm):
             yield from GATHER_ALGORITHMS["linear"](comm, 2, 4 * KiB)
 
-        run_timed(MINICLUSTER, program, 6, root=2, tracer=tracer)
+        run_experiment(
+            MINICLUSTER, Experiment(program, 6, root=2), tracer=tracer
+        )
         sends = collections.Counter(e.rank for e in tracer.of_kind("send_post"))
         assert sends == {r: 1 for r in range(6) if r != 2}
 
@@ -58,7 +67,7 @@ class TestBinomialGather:
         def program(comm):
             yield from GATHER_ALGORITHMS["binomial"](comm, 0, m)
 
-        run_timed(MINICLUSTER, program, 8, tracer=tracer)
+        run_experiment(MINICLUSTER, Experiment(program, 8), tracer=tracer)
         # Total bytes received at the root equal (P-1) contributions.
         root_bytes = sum(
             e.nbytes for e in tracer.of_kind("recv_complete") if e.rank == 0
@@ -73,7 +82,7 @@ class TestBinomialGather:
             def program(comm, name=name):
                 yield from GATHER_ALGORITHMS[name](comm, 0, 4 * KiB)
 
-            run_timed(MINICLUSTER, program, 16, tracer=tracer)
+            run_experiment(MINICLUSTER, Experiment(program, 16), tracer=tracer)
             counts[name] = len(
                 [e for e in tracer.of_kind("recv_complete") if e.rank == 0]
             )
@@ -87,7 +96,7 @@ class TestBarriers:
             def program(comm):
                 yield from BARRIER_ALGORITHMS[name](comm)
 
-            elapsed = run_timed(MINICLUSTER, program, procs)
+            elapsed = run_experiment(MINICLUSTER, Experiment(program, procs))
             assert elapsed >= 0.0
 
     def test_no_rank_exits_before_last_rank_enters(self, name):
@@ -103,7 +112,7 @@ class TestBarriers:
             yield from BARRIER_ALGORITHMS[name](comm)
             exit_times[comm.rank] = comm.now
 
-        run_timed(MINICLUSTER, program, procs)
+        run_experiment(MINICLUSTER, Experiment(program, procs))
         last_entry = max(entry_times.values())
         assert min(exit_times.values()) >= last_entry
 
@@ -112,5 +121,5 @@ class TestBarriers:
             yield from BARRIER_ALGORITHMS[name](comm)
             yield from BARRIER_ALGORITHMS[name](comm)
 
-        elapsed = run_timed(MINICLUSTER, program, 6)
+        elapsed = run_experiment(MINICLUSTER, Experiment(program, 6))
         assert elapsed > 0.0

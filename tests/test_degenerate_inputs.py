@@ -23,6 +23,7 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.errors import ArtifactError
+from repro.exec.job import SimJob, execute_job
 from repro.exec.runner import ParallelRunner
 from repro.selection.codegen import compile_python, generate_c
 from repro.service import (
@@ -252,22 +253,22 @@ class TestWholeSuiteZeroBytes:
 
     @pytest.mark.parametrize("operation", WHOLE_SUITE)
     def test_simulator_measures_exactly_zero(self, operation):
-        from repro import measure
         from repro.collectives.registry import algorithm_names
 
-        timer = getattr(measure, f"time_{operation}")
         for algorithm in algorithm_names(operation):
             for procs in (2, 5, 8):
-                assert timer(MINICLUSTER, algorithm, procs, 0) == 0.0
+                assert execute_job(
+                    SimJob(MINICLUSTER, operation, procs, algorithm)
+                ) == 0.0
 
     @pytest.mark.parametrize("operation", WHOLE_SUITE)
     def test_single_rank_is_also_a_noop(self, operation):
-        from repro import measure
         from repro.collectives.registry import algorithm_names
 
-        timer = getattr(measure, f"time_{operation}")
         for algorithm in algorithm_names(operation):
-            assert timer(MINICLUSTER, algorithm, 1, 64 * KiB) == 0.0
+            assert execute_job(SimJob(
+                MINICLUSTER, operation, 1, algorithm, nbytes=64 * KiB
+            )) == 0.0
 
     @pytest.mark.parametrize("operation", WHOLE_SUITE)
     def test_models_predict_zero(self, suite_artifact, operation):

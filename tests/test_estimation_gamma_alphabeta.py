@@ -96,7 +96,7 @@ class TestAlphaBetaEstimation:
         limitation the paper's Eq.-style models share), so it only gets a
         conservative upper-bound check.
         """
-        from repro.measure import time_bcast
+        from repro.exec.job import SimJob, execute_job
         from repro.models.derived import BinaryTreeModel
 
         sizes = [8 * KiB, 32 * KiB, 128 * KiB, 512 * KiB, 1024 * KiB]
@@ -104,14 +104,20 @@ class TestAlphaBetaEstimation:
         estimate = estimate_alpha_beta(MINICLUSTER, binary, procs=8, sizes=sizes)
         for nbytes in (64 * KiB, 256 * KiB):  # sizes not used in the fit
             predicted = binary.predict(8, nbytes, 8 * KiB, estimate.params)
-            measured = time_bcast(MINICLUSTER, "binary", 8, nbytes, 8 * KiB)
+            measured = execute_job(SimJob(
+                MINICLUSTER, "bcast", 8, "binary", nbytes=nbytes,
+                segment_size=8 * KiB,
+            ))
             assert 0.4 < predicted / measured < 1.8
 
         chain = ChainTreeModel(gamma_fn)
         estimate = estimate_alpha_beta(MINICLUSTER, chain, procs=8, sizes=sizes)
         for nbytes in (64 * KiB, 1024 * KiB):
             predicted = chain.predict(8, nbytes, 8 * KiB, estimate.params)
-            measured = time_bcast(MINICLUSTER, "chain", 8, nbytes, 8 * KiB)
+            measured = execute_job(SimJob(
+                MINICLUSTER, "bcast", 8, "chain", nbytes=nbytes,
+                segment_size=8 * KiB,
+            ))
             # The latency-split pipeline model tracks within a factor ~2 at
             # every scale (the textbook single-tau form drifted to 4x).
             assert 0.5 < predicted / measured < 2.0

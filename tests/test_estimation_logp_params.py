@@ -30,9 +30,11 @@ class TestLogPMeasurement:
         assert logp.latency == pytest.approx(NET.latency, rel=0.35)
 
     def test_p2p_prediction_close_to_simulated(self, logp):
-        from repro.measure import time_p2p_roundtrip
+        from repro.exec.job import SimJob, execute_job
 
-        measured = time_p2p_roundtrip(MINICLUSTER, 1)
+        measured = execute_job(SimJob(
+            MINICLUSTER, "p2p_roundtrip", 2, nbytes=1, mapping="spread"
+        ))
         assert logp.p2p_time() == pytest.approx(measured, rel=0.25)
 
     def test_burst_validation(self):

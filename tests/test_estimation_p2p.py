@@ -5,7 +5,7 @@ import pytest
 from repro.clusters import MINICLUSTER
 from repro.errors import EstimationError
 from repro.estimation.p2p import estimate_hockney_p2p
-from repro.measure import time_p2p_roundtrip
+from repro.exec.job import SimJob, execute_job
 from repro.units import KiB
 
 
@@ -44,14 +44,18 @@ class TestP2pEstimation:
         )
         nbytes = 256 * KiB  # rendezvous, like every fitted size
         predicted = estimate.params.p2p_time(nbytes)
-        measured = time_p2p_roundtrip(MINICLUSTER, nbytes)
+        measured = execute_job(SimJob(
+            MINICLUSTER, "p2p_roundtrip", 2, nbytes=nbytes, mapping="spread"
+        ))
         assert predicted == pytest.approx(measured, rel=0.05)
 
     def test_single_line_misses_protocol_switch(self, p2p_estimate):
         """The mixed-regime fit mispredicts just above the eager limit."""
         nbytes = 32 * KiB  # first rendezvous size on the test cluster
         predicted = p2p_estimate.params.p2p_time(nbytes)
-        measured = time_p2p_roundtrip(MINICLUSTER, nbytes)
+        measured = execute_job(SimJob(
+            MINICLUSTER, "p2p_roundtrip", 2, nbytes=nbytes, mapping="spread"
+        ))
         assert abs(predicted - measured) / measured > 0.10
 
     def test_diagnostics_recorded(self, p2p_estimate):
@@ -65,12 +69,17 @@ class TestP2pEstimation:
 
 class TestRoundtripMeasurement:
     def test_halves_the_round_trip(self):
-        one_way = time_p2p_roundtrip(MINICLUSTER, 8 * KiB)
+        one_way = execute_job(SimJob(
+            MINICLUSTER, "p2p_roundtrip", 2, nbytes=8 * KiB, mapping="spread"
+        ))
         assert one_way > 0
 
     def test_monotone_in_size(self):
         times = [
-            time_p2p_roundtrip(MINICLUSTER, nbytes)
+            execute_job(SimJob(
+                MINICLUSTER, "p2p_roundtrip", 2, nbytes=nbytes,
+                mapping="spread",
+            ))
             for nbytes in (1 * KiB, 32 * KiB, 512 * KiB)
         ]
         assert times == sorted(times)
@@ -79,4 +88,7 @@ class TestRoundtripMeasurement:
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            time_p2p_roundtrip(MINICLUSTER, 1024, ranks=(2, 2))
+            execute_job(SimJob(
+                MINICLUSTER, "p2p_roundtrip", 2, nbytes=1024, ranks=(2, 2),
+                mapping="spread",
+            ))

@@ -29,7 +29,7 @@ from repro.exec import (
     code_salt,
     execute_job,
 )
-from repro.measure import time_bcast
+from repro.measure import experiment, run_experiment
 from repro.units import KiB
 
 
@@ -97,8 +97,9 @@ class TestSimJob:
 
     def test_execute_matches_direct_measurement(self):
         job = bcast_job()
-        direct = time_bcast(
-            MINICLUSTER, "binomial", 8, 8 * KiB, 0, seed=0
+        direct = run_experiment(
+            MINICLUSTER, experiment("bcast", 8, "binomial", nbytes=8 * KiB),
+            seed=0,
         )
         assert execute_job(job) == direct
 

@@ -22,6 +22,7 @@ import pytest
 from repro.clusters import MINICLUSTER, get_preset
 from repro.errors import ArtifactError, SimulationError
 from repro.exec.cache import ResultCache
+from repro.exec.job import SimJob, execute_job
 from repro.exec.runner import ParallelRunner
 from repro.fabric import (
     FLAT_FABRIC,
@@ -34,7 +35,6 @@ from repro.fabric import (
     heterogeneous_spine,
     leaf_spine,
 )
-from repro.measure import time_bcast, time_reduce
 from repro.selection.oracle import MeasuredOracle
 from repro.service import ArtifactRegistry, SelectionService, ServiceThread
 from repro.service.artifact import build_artifact
@@ -159,9 +159,12 @@ class TestFlatBitIdentity:
     def test_flat_fabric_simulates_bit_identically(self):
         flat = MINICLUSTER.with_fabric(flat_fabric(MINICLUSTER))
         for algorithm in ("binomial", "chain", "hierarchical"):
-            assert time_bcast(
-                flat, algorithm, 10, 65536, 8192
-            ) == time_bcast(MINICLUSTER, algorithm, 10, 65536, 8192)
+            assert execute_job(SimJob(
+                flat, "bcast", 10, algorithm, nbytes=65536, segment_size=8192
+            )) == execute_job(SimJob(
+                MINICLUSTER, "bcast", 10, algorithm, nbytes=65536,
+                segment_size=8192,
+            ))
 
     def test_flat_artifact_content_hash_is_unchanged(self):
         bare = build_acceptance_artifact(TWO_RACK)
@@ -195,13 +198,13 @@ class TestUplinkRouting:
         # P=2 stays inside rack 0; P=6 forces rank 5 into rack 1 and a
         # two-rank chain 0->5 would cross — use linear bcast at P=6 vs
         # the same ranks flat.
-        flat = time_bcast(TWO_RACK, "linear", 6, 32768, 0)
-        routed = time_bcast(fabspec, "linear", 6, 32768, 0)
+        flat = execute_job(SimJob(TWO_RACK, "bcast", 6, "linear", nbytes=32768))
+        routed = execute_job(SimJob(fabspec, "bcast", 6, "linear", nbytes=32768))
         assert routed > flat
         # Purely intra-rack traffic is untouched.
-        assert time_bcast(fabspec, "linear", 5, 32768, 0) == time_bcast(
-            TWO_RACK, "linear", 5, 32768, 0
-        )
+        assert execute_job(
+            SimJob(fabspec, "bcast", 5, "linear", nbytes=32768)
+        ) == execute_job(SimJob(TWO_RACK, "bcast", 5, "linear", nbytes=32768))
 
     def test_oversubscription_ratio_orders_completion_times(self):
         mild = TWO_RACK.with_fabric(
@@ -210,9 +213,11 @@ class TestUplinkRouting:
         harsh = TWO_RACK.with_fabric(
             leaf_spine(TWO_RACK, nodes_per_rack=5, oversubscription=32)
         )
-        assert time_bcast(harsh, "binomial", 10, 262144, 8192) > time_bcast(
-            mild, "binomial", 10, 262144, 8192
-        )
+        assert execute_job(SimJob(
+            harsh, "bcast", 10, "binomial", nbytes=262144, segment_size=8192
+        )) > execute_job(SimJob(
+            mild, "bcast", 10, "binomial", nbytes=262144, segment_size=8192
+        ))
 
     def test_parallel_uplinks_relieve_serialisation(self):
         single = TWO_RACK.with_fabric(
@@ -226,9 +231,9 @@ class TestUplinkRouting:
         # Same aggregate ratio per uplink count doubled: two parallel
         # links strictly help concurrent crossings (the linear root
         # sprays into the far rack).
-        assert time_bcast(double, "linear", 10, 262144, 0) < time_bcast(
-            single, "linear", 10, 262144, 0
-        )
+        assert execute_job(
+            SimJob(double, "bcast", 10, "linear", nbytes=262144)
+        ) < execute_job(SimJob(single, "bcast", 10, "linear", nbytes=262144))
 
     def test_pod_tier_costs_more_than_rack_tier(self):
         spec = replace(MINICLUSTER, name="podded", nodes=16)
@@ -238,11 +243,15 @@ class TestUplinkRouting:
         )
         fabspec = spec.with_fabric(fabric)
         # 0->4 crosses racks inside one pod; 0->8 also crosses pods.
-        intra_pod = time_bcast(fabspec, "linear", 5, 65536, 0)
-        del intra_pod  # smoke: runs and is quiescent
-        assert time_bcast(fabspec, "binomial", 16, 262144, 8192) > time_bcast(
-            spec, "binomial", 16, 262144, 8192
+        intra_pod = execute_job(
+            SimJob(fabspec, "bcast", 5, "linear", nbytes=65536)
         )
+        del intra_pod  # smoke: runs and is quiescent
+        assert execute_job(SimJob(
+            fabspec, "bcast", 16, "binomial", nbytes=262144, segment_size=8192
+        )) > execute_job(SimJob(
+            spec, "bcast", 16, "binomial", nbytes=262144, segment_size=8192
+        ))
 
 
 class TestHierarchicalCollectives:
@@ -265,23 +274,40 @@ class TestHierarchicalCollectives:
     def test_hierarchical_bcast_runs_quiescent_on_all_shapes(self):
         fabspec = TWO_RACK.with_fabric(acceptance_fabric())
         for procs in (2, 5, 7, 10):
-            elapsed = time_bcast(fabspec, "hierarchical", procs, 32768, 8192)
+            elapsed = execute_job(SimJob(
+                fabspec, "bcast", procs, "hierarchical", nbytes=32768,
+                segment_size=8192,
+            ))
             assert elapsed > 0
         # Degenerate corners.
-        assert time_bcast(fabspec, "hierarchical", 1, 32768, 8192) == 0.0
-        assert time_bcast(fabspec, "hierarchical", 4, 0, 8192) == 0.0
+        assert execute_job(SimJob(
+            fabspec, "bcast", 1, "hierarchical", nbytes=32768,
+            segment_size=8192,
+        )) == 0.0
+        assert execute_job(SimJob(
+            fabspec, "bcast", 4, "hierarchical", segment_size=8192
+        )) == 0.0
 
     def test_hierarchical_reduce_runs_quiescent(self):
         fabspec = TWO_RACK.with_fabric(acceptance_fabric())
-        assert time_reduce(fabspec, "hierarchical", 10, 32768, 8192) > 0
+        assert execute_job(SimJob(
+            fabspec, "reduce", 10, "hierarchical", nbytes=32768,
+            segment_size=8192, policy="root",
+        )) > 0
 
     def test_hierarchical_crosses_each_uplink_once(self):
         # At P=10 on the harsh two-rack fabric the rack-leader broadcast
         # beats every flat algorithm that crosses the uplink repeatedly.
         fabspec = TWO_RACK.with_fabric(acceptance_fabric())
-        hier = time_bcast(fabspec, "hierarchical", 10, 32768, 8192)
+        hier = execute_job(SimJob(
+            fabspec, "bcast", 10, "hierarchical", nbytes=32768,
+            segment_size=8192,
+        ))
         for algorithm in ("binomial", "binary", "linear"):
-            assert hier < time_bcast(fabspec, algorithm, 10, 32768, 8192)
+            assert hier < execute_job(SimJob(
+                fabspec, "bcast", 10, algorithm, nbytes=32768,
+                segment_size=8192,
+            ))
 
     def test_hierarchical_excluded_from_flat_defaults(self):
         from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS

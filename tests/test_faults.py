@@ -20,7 +20,7 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.errors import FaultError
-from repro.exec import ParallelRunner, SimJob
+from repro.exec import ParallelRunner, SimJob, execute_job
 from repro.faults import (
     CompositeNoise,
     FaultPlan,
@@ -33,16 +33,15 @@ from repro.faults import (
     compose_noise,
     make_fault_noise,
 )
-from repro.measure import time_bcast
 from repro.sim.noise import LognormalNoise, NoNoise
 from repro.units import KiB
 
 
 def bcast_time(spec, *, algorithm="binomial", procs=8, nbytes=64 * KiB, seed=0):
-    return time_bcast(
-        spec, procs=procs, nbytes=nbytes, algorithm=algorithm,
-        segment_size=8 * KiB, seed=seed,
-    )
+    return execute_job(SimJob(
+        spec, "bcast", procs, algorithm, nbytes=nbytes, segment_size=8 * KiB,
+        seed=seed,
+    ))
 
 
 STRAGGLER_PLAN = FaultPlan(

@@ -90,7 +90,7 @@ class TestWorldReuse:
         from repro.collectives.barrier import BARRIER_ALGORITHMS
         from repro.collectives.bcast import BCAST_ALGORITHMS
         from repro.collectives.gather import GATHER_ALGORITHMS
-        from repro.measure import run_timed
+        from repro.measure import Experiment, run_experiment
 
         def program(comm):
             yield from BCAST_ALGORITHMS["binomial"](comm, 0, 32 * KiB, 8 * KiB)
@@ -98,5 +98,5 @@ class TestWorldReuse:
             yield from GATHER_ALGORITHMS["linear"](comm, 0, 2 * KiB)
             yield from BCAST_ALGORITHMS["split_binary"](comm, 0, 64 * KiB, 8 * KiB)
 
-        elapsed = run_timed(MINICLUSTER, program, 9)
+        elapsed = run_experiment(MINICLUSTER, Experiment(program, 9))
         assert elapsed > 0

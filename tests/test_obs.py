@@ -2,7 +2,7 @@
 
 Covers the span core (nesting, identity, thread-awareness, disabled-path
 no-ops), the exporters (JSONL round trip, Chrome trace validity, tree
-reconstruction), the span-to-metrics bridge, and the end-to-end wiring:
+reconstruction), and the end-to-end wiring:
 a traced calibration / artifact build emits the phase tree the CI smoke
 job asserts on, and the exec runner annotates cache behaviour.
 """
@@ -19,7 +19,6 @@ from repro.clusters import MINICLUSTER
 from repro.exec.runner import ParallelRunner
 from repro.obs.spans import NULL_SPAN, SpanRecorder
 from repro.service.artifact import build_artifact
-from repro.service.metrics import Histogram
 from repro.units import KiB
 
 
@@ -95,15 +94,6 @@ class TestSpanCore:
                 raise ValueError("no")
         [span] = recorder.finished()
         assert span.attributes["error"] == "ValueError"
-
-    def test_decorator(self, recorder):
-        @recorder.traced("double")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        [span] = recorder.finished()
-        assert span.name == "double"
 
     def test_threads_do_not_share_the_span_stack(self, recorder):
         seen = {}
@@ -199,27 +189,6 @@ class TestExporters:
         chrome = obs.save(recorder, tmp_path / "out.json")
         assert len(obs.load_jsonl(jsonl)) == 2
         assert "traceEvents" in json.loads(chrome.read_text())
-
-    def test_streaming_jsonl(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        recorder = SpanRecorder()
-        recorder.enable(path)
-        with recorder.span("streamed"):
-            pass
-        recorder.disable()
-        assert obs.load_jsonl(path)[0]["name"] == "streamed"
-
-
-class TestBridge:
-    def test_bridge_feeds_histogram(self, recorder):
-        histogram = Histogram("bridge_seconds", "test")
-        bridge = obs.SpanMetricsBridge({"http.request": histogram})
-        recorder.add_finish_hook(bridge)
-        with recorder.span("http.request"):
-            pass
-        with recorder.span("unrelated"):
-            pass
-        assert histogram.count == 1 and bridge.observed == 1
 
 
 class TestWiring:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clusters import MINICLUSTER
 from repro.estimation.workflow import calibrate_platform
-from repro.measure import time_reduce
+from repro.exec.job import SimJob, execute_job
 from repro.models.gamma import GammaFunction
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
@@ -72,7 +72,10 @@ class TestReduceCalibration:
         platform, _ = reduce_calibration
         for name in ("binomial", "linear"):
             predicted = platform.predict(name, 8, 128 * KiB)
-            measured = time_reduce(MINICLUSTER, name, 8, 128 * KiB, 8 * KiB)
+            measured = execute_job(SimJob(
+                MINICLUSTER, "reduce", 8, name, nbytes=128 * KiB,
+                segment_size=8 * KiB, policy="root",
+            ))
             assert 0.3 < predicted / measured < 2.5, name
 
     def test_json_round_trip_preserves_operation(self, reduce_calibration, tmp_path):
@@ -101,7 +104,10 @@ class TestReduceSelection:
         procs = 14
         for nbytes in (16 * KiB, 256 * KiB, 1 * MiB):
             measured = {
-                name: time_reduce(MINICLUSTER, name, procs, nbytes, 8 * KiB)
+                name: execute_job(SimJob(
+                    MINICLUSTER, "reduce", procs, name, nbytes=nbytes,
+                    segment_size=8 * KiB, policy="root",
+                ))
                 for name in DERIVED_REDUCE_MODELS
             }
             best_time = min(measured.values())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.clusters import MINICLUSTER, ClusterSpec
 from repro.collectives.bcast import BCAST_ALGORITHMS
-from repro.measure import time_bcast
+from repro.exec.job import SimJob, execute_job
 from repro.selection.ompi_fixed import ompi_bcast_decision, ompi_reduce_decision
 from repro.sim.network import NetworkParams
 from repro.units import KiB
@@ -42,17 +42,24 @@ class TestExtremeFabrics:
     def test_all_algorithms_complete_on_all_rendezvous_fabric(self, algorithm):
         """eager_limit=0: every message handshakes; nothing deadlocks."""
         spec = make_extreme_cluster()
-        elapsed = time_bcast(spec, algorithm, 8, 64 * KiB, 8 * KiB)
+        elapsed = execute_job(SimJob(
+            spec, "bcast", 8, algorithm, nbytes=64 * KiB, segment_size=8 * KiB
+        ))
         assert elapsed > 0
 
     def test_zero_byte_broadcast(self):
         for algorithm in ("linear", "binomial", "chain"):
-            elapsed = time_bcast(MINICLUSTER, algorithm, 6, 0, 8 * KiB)
+            elapsed = execute_job(SimJob(
+                MINICLUSTER, "bcast", 6, algorithm, segment_size=8 * KiB
+            ))
             assert elapsed >= 0
 
     def test_one_byte_broadcast(self):
         for algorithm in sorted(BCAST_ALGORITHMS):
-            elapsed = time_bcast(MINICLUSTER, algorithm, 5, 1, 8 * KiB)
+            elapsed = execute_job(SimJob(
+                MINICLUSTER, "bcast", 5, algorithm, nbytes=1,
+                segment_size=8 * KiB,
+            ))
             assert elapsed > 0
 
     def test_latency_free_fabric(self):
@@ -61,7 +68,9 @@ class TestExtremeFabrics:
             send_overhead=0.0, recv_overhead=0.0, shm_latency=0.0,
             eager_limit=1 << 30,
         )
-        elapsed = time_bcast(spec, "binomial", 8, 64 * KiB, 8 * KiB)
+        elapsed = execute_job(SimJob(
+            spec, "bcast", 8, "binomial", nbytes=64 * KiB, segment_size=8 * KiB
+        ))
         # Pure bandwidth: still positive and finite.
         assert 0 < elapsed < 1.0
 
@@ -82,7 +91,10 @@ class TestHeavyNoise:
         noisy = MINICLUSTER.with_noise(0.5)
 
         def measure(seed):
-            return time_bcast(noisy, "binomial", 6, 64 * KiB, 8 * KiB, seed=seed)
+            return execute_job(SimJob(
+                noisy, "bcast", 6, "binomial", nbytes=64 * KiB,
+                segment_size=8 * KiB, seed=seed,
+            ))
 
         stats = adaptive_measure(measure, precision=1e-4, max_reps=5, seed=3)
         assert stats.n == 5

@@ -143,6 +143,35 @@ class TestMeasuredOracle:
         fine = oracle.measure_selection(8, 1 * MiB, Selection("chain", 8 * KiB))
         assert coarse != fine
 
+    #: Each operation's default candidates and segment size.
+    DEFAULTS = {
+        "bcast": (["binary", "binomial", "chain", "k_chain", "linear",
+                   "split_binary"], 8 * KiB),
+        "reduce": (["binary", "binomial", "chain", "in_order_binomial",
+                    "linear"], 8 * KiB),
+        "gather": (["binomial", "linear"], 0),
+        "barrier": (["bruck", "double_ring", "linear", "recursive_doubling"],
+                    0),
+        "allreduce": (["recursive_doubling", "ring"], 0),
+        "allgather": (["bruck", "neighbor_exchange", "recursive_doubling",
+                       "ring"], 0),
+        "alltoall": (["bruck", "linear", "pairwise"], 0),
+        "scatter": (["binomial", "linear"], 0),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(DEFAULTS))
+    def test_default_candidates_and_segmentation(self, operation):
+        """Pinned per operation: extension algorithms (hierarchical,
+        scatter_allgather) stay opt-in, unsegmented operations force 0."""
+        oracle = MeasuredOracle(MINICLUSTER, operation=operation)
+        assert (oracle.algorithms, oracle.segment_size) == (
+            self.DEFAULTS[operation]
+        )
+
+    def test_unknown_operation_refused(self):
+        with pytest.raises(SelectionError, match="no measured oracle"):
+            MeasuredOracle(MINICLUSTER, operation="scan")
+
 
 class TestDecisionTable:
     def test_build_and_lookup(self, mini_platform):

@@ -228,18 +228,26 @@ class TestDegradation:
 
     def test_straggler_hurts_chain_more_than_binary(self):
         from repro.clusters import MINICLUSTER
-        from repro.measure import time_bcast
+        from repro.exec.job import SimJob, execute_job
         from repro.topology import build_binary_tree
         from repro.units import KiB
 
         procs = 16
         leaf = build_binary_tree(procs).leaves()[3]
         sick = MINICLUSTER.with_slow_nodes({leaf: 20.0})
-        chain_ratio = time_bcast(sick, "chain", procs, 512 * KiB, 8 * KiB) / (
-            time_bcast(MINICLUSTER, "chain", procs, 512 * KiB, 8 * KiB)
-        )
-        binary_ratio = time_bcast(sick, "binary", procs, 512 * KiB, 8 * KiB) / (
-            time_bcast(MINICLUSTER, "binary", procs, 512 * KiB, 8 * KiB)
-        )
+        chain_ratio = execute_job(SimJob(
+            sick, "bcast", procs, "chain", nbytes=512 * KiB,
+            segment_size=8 * KiB,
+        )) / execute_job(SimJob(
+            MINICLUSTER, "bcast", procs, "chain", nbytes=512 * KiB,
+            segment_size=8 * KiB,
+        ))
+        binary_ratio = execute_job(SimJob(
+            sick, "bcast", procs, "binary", nbytes=512 * KiB,
+            segment_size=8 * KiB,
+        )) / execute_job(SimJob(
+            MINICLUSTER, "bcast", procs, "binary", nbytes=512 * KiB,
+            segment_size=8 * KiB,
+        ))
         assert binary_ratio < 1.05  # leaf sends nothing
         assert chain_ratio > 1.5  # every byte passes the sick egress

@@ -128,12 +128,17 @@ class TestChromeTraceExport:
     def test_real_simulation_trace_is_consistent(self):
         """A real broadcast's trace exports with conserved byte counts."""
         from repro.clusters import MINICLUSTER
-        from repro.measure import time_bcast
+        from repro.measure import experiment, run_experiment
         from repro.units import KiB
 
         tracer = Tracer()
-        time_bcast(MINICLUSTER, "binomial", 8, 24 * KiB, 8 * KiB,
-                   tracer=tracer)
+        run_experiment(
+            MINICLUSTER,
+            experiment(
+                "bcast", 8, "binomial", nbytes=24 * KiB, segment_size=8 * KiB
+            ),
+            tracer=tracer,
+        )
         spans = self.durations(tracer)
         assert all(e["dur"] >= 0 for e in spans)
         sends = [e for e in spans if e["cat"] == "send"]

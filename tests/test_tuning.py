@@ -46,10 +46,8 @@ from repro.tuning import (
     check_guidelines,
     diff_artifacts,
     format_diff,
+    default_guidelines,
     rebuild_artifact,
-    register_guideline,
-    registered_guidelines,
-    unregister_guideline,
     verify_guidelines,
 )
 from repro.units import KiB
@@ -121,6 +119,33 @@ def perturb_table(artifact: SelectionArtifact, operation: str = "bcast"):
     )
 
 
+def stub_artifact():
+    """A one-cell-row bcast artifact whose predicted time *decreases*
+    with size: monotony is violated, split-robustness holds
+    (t(2m) < 2 t(m))."""
+
+    class StubPlatform:
+        def predict(self, algorithm, procs, nbytes, segment_size=0):
+            return 1.0 / nbytes
+
+    table = DecisionTable(
+        proc_points=(4,),
+        size_points=(1024, 2048),
+        choices=((Selection("linear", 0), Selection("linear", 0)),),
+    )
+    entry = ArtifactEntry(
+        operation="bcast", platform=StubPlatform(), table=table,
+        function_name="f", source="",
+    )
+
+    class StubArtifact:
+        entries = {"bcast": entry}
+        operations = ["bcast"]
+        artifact_id = "stub"
+
+    return StubArtifact()
+
+
 class TestGuidelines:
     def test_clean_artifact_passes(self, clean_artifact):
         report = verify_guidelines(clean_artifact)
@@ -173,14 +198,6 @@ class TestGuidelines:
         assert excinfo.value.report is not None
         assert not excinfo.value.report.ok()
 
-    def test_duplicate_registration_refused(self):
-        from repro.tuning.guidelines import default_guidelines
-
-        existing = default_guidelines()[0]
-        with pytest.raises(TuningError):
-            register_guideline(existing)
-        register_guideline(existing, replace=True)  # explicit override ok
-
     def test_custom_guideline_lifecycle(self, clean_artifact):
         guideline = Guideline(
             name="_test_needs_allgather",
@@ -188,50 +205,39 @@ class TestGuidelines:
             requires=frozenset({"allgather"}),
             check=lambda artifact, slack: [],
         )
-        register_guideline(guideline)
-        try:
-            report = verify_guidelines(clean_artifact)
-            assert "_test_needs_allgather" in report.skipped
-        finally:
-            unregister_guideline("_test_needs_allgather")
-        assert "_test_needs_allgather" not in registered_guidelines()
+        report = verify_guidelines(
+            clean_artifact, guidelines=[*default_guidelines(), guideline]
+        )
+        assert "_test_needs_allgather" in report.skipped
+        # Passing it in leaves the built-in catalogue as it was.
+        assert guideline not in default_guidelines()
 
     def test_monotone_and_split_on_stub(self):
         """Unit-check the inequality math on a hand-built entry."""
-
-        class StubPlatform:
-            def predict(self, algorithm, procs, nbytes, segment_size=0):
-                # Pathological: time *decreases* with size, violating
-                # monotony; split-robustness holds (t(2m) < 2 t(m)).
-                return 1.0 / nbytes
-
-        table = DecisionTable(
-            proc_points=(4,),
-            size_points=(1024, 2048),
-            choices=((Selection("linear", 0), Selection("linear", 0)),),
-        )
-        entry = ArtifactEntry(
-            operation="bcast", platform=StubPlatform(), table=table,
-            function_name="f", source="",
-        )
-
-        class StubArtifact:
-            entries = {"bcast": entry}
-            operations = ["bcast"]
-            artifact_id = "stub"
-
-        from repro.tuning.guidelines import default_guidelines
-
         by_name = {g.name: g for g in default_guidelines()}
         monotone = verify_guidelines(
-            StubArtifact(), guidelines=[by_name["monotone_in_size"]]
+            stub_artifact(), guidelines=[by_name["monotone_in_size"]]
         )
         assert len(monotone.violations) == 1
         assert monotone.violations[0].guideline == "monotone_in_size"
         split = verify_guidelines(
-            StubArtifact(), guidelines=[by_name["split_robustness"]]
+            stub_artifact(), guidelines=[by_name["split_robustness"]]
         )
         assert split.ok()
+
+    def test_custom_guideline_is_checked_and_counted(self):
+        """A guideline outside the built-in catalogue is evaluated and
+        its cells counted, not looked up by name."""
+        custom = Guideline(
+            name="custom_rule",
+            description="never violated",
+            requires=frozenset(),
+            check=lambda artifact, slack: [],
+        )
+        report = verify_guidelines(stub_artifact(), guidelines=[custom])
+        assert report.checked == ("custom_rule",)
+        assert report.cells == 2
+        assert report.ok()
 
 
 class TestDriftDetector:
@@ -689,9 +695,10 @@ class TestDegradedInterplay:
 
 class TestStrictBuildGate:
     def test_strict_build_refuses_guideline_violation(
-        self, clean_artifact, cache_dir
+        self, clean_artifact, cache_dir, monkeypatch
     ):
         """A strict build routes through the guideline gate."""
+        from repro.tuning import guidelines
         from repro.tuning.guidelines import GuidelineViolation
 
         always_violated = Guideline(
@@ -706,21 +713,21 @@ class TestStrictBuildGate:
                 )
             ],
         )
-        register_guideline(always_violated)
-        try:
-            with pytest.raises(GuidelineViolationError, match="refused"):
-                build_artifact(
-                    MINICLUSTER,
-                    collectives=("bcast",),
-                    proc_points=(8,),
-                    size_points=SIZES,
-                    platforms={
-                        "bcast": clean_artifact.entries["bcast"].platform,
-                    },
-                    strict=True,
-                )
-        finally:
-            unregister_guideline("_test_always_violated")
+        monkeypatch.setattr(
+            guidelines, "DEFAULT_GUIDELINES",
+            (*guidelines.DEFAULT_GUIDELINES, always_violated),
+        )
+        with pytest.raises(GuidelineViolationError, match="refused"):
+            build_artifact(
+                MINICLUSTER,
+                collectives=("bcast",),
+                proc_points=(8,),
+                size_points=SIZES,
+                platforms={
+                    "bcast": clean_artifact.entries["bcast"].platform,
+                },
+                strict=True,
+            )
 
 
 class TestRecalibrateCacheInvalidation:
